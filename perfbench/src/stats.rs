@@ -1,0 +1,41 @@
+//! Order statistics over latency samples.
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) of `values`, interpolating linearly
+/// between the two nearest order statistics. `None` for no samples.
+pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    Some(v[lo] + (v[hi] - v[lo]) * (pos - lo as f64))
+}
+
+pub fn median(values: &[f64]) -> Option<f64> {
+    quantile(values, 0.5)
+}
+
+pub fn mean(values: &[f64]) -> Option<f64> {
+    if values.is_empty() {
+        None
+    } else {
+        Some(values.iter().sum::<f64>() / values.len() as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(&v, 0.0), Some(1.0));
+        assert_eq!(quantile(&v, 1.0), Some(4.0));
+        assert_eq!(median(&v), Some(2.5));
+        assert_eq!(quantile(&[], 0.5), None);
+    }
+}
