@@ -1,18 +1,23 @@
-//! Minimal dependency-free HTTP/1.1 client for the sweep service
-//! (`qsc-serve`), plus the submit → poll → fetch workflow behind the
-//! `experiments --submit <url>` client mode.
+//! Client for the sweep service (`qsc-serve`): one-shot requests plus the
+//! submit → poll → fetch workflow behind the `experiments --submit <url>`
+//! client mode.
 //!
-//! The client speaks exactly what the service speaks: one request per
-//! connection (`Connection: close`), bodies delimited by `Content-Length`
-//! or chunked transfer coding, JSON via `qsc-json`. It lives in this
-//! crate (not `qsc-serve`) because the service depends on the runner —
-//! the client must not close that cycle.
+//! The client speaks exactly what the service speaks, through the same
+//! HTTP/1.1 module (`qsc-http`): one request per connection
+//! (`Connection: close`), bodies delimited by `Content-Length` or chunked
+//! transfer coding, JSON via `qsc-json`. It lives in this crate (not
+//! `qsc-serve`) because the service depends on the runner — the client
+//! must not close that cycle.
 
 use qsc_json::Value;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// A parsed HTTP response: status, lower-cased headers, decoded body.
+pub use qsc_http::Response as HttpResponse;
+
+/// Connect, read and write timeout of one service request.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Errors of the service client.
 #[derive(Debug)]
@@ -41,31 +46,12 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-impl From<std::io::Error> for ClientError {
-    fn from(e: std::io::Error) -> Self {
-        ClientError::Io(e)
-    }
-}
-
-/// A parsed HTTP response.
-#[derive(Debug)]
-pub struct HttpResponse {
-    /// Status code (200, 400, 429, …).
-    pub status: u16,
-    /// Header `(name, value)` pairs, names lower-cased.
-    pub headers: Vec<(String, String)>,
-    /// The decoded body.
-    pub body: String,
-}
-
-impl HttpResponse {
-    /// A header value, by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+impl From<qsc_http::Error> for ClientError {
+    fn from(e: qsc_http::Error) -> Self {
+        match e {
+            qsc_http::Error::Io(e) => ClientError::Io(e),
+            qsc_http::Error::Protocol(m) => ClientError::Protocol(m),
+        }
     }
 }
 
@@ -98,100 +84,9 @@ pub fn http_request(
     body: Option<&str>,
 ) -> Result<HttpResponse, ClientError> {
     let authority = authority(base)?;
-    let mut stream = TcpStream::connect(&authority)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-
-    let mut request =
-        format!("{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n");
-    if let Some(body) = body {
-        request.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            body.len()
-        ));
-    }
-    request.push_str("\r\n");
-    if let Some(body) = body {
-        request.push_str(body);
-    }
-    stream.write_all(request.as_bytes())?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> Result<HttpResponse, ClientError> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| ClientError::Protocol("truncated response (no header end)".into()))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let mut lines = head.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| ClientError::Protocol("empty response".into()))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line `{status_line}`")))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| {
-            let (k, v) = line.split_once(':')?;
-            Some((k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
-
-    let payload = &raw[head_end + 4..];
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body_bytes = if chunked {
-        decode_chunked(payload)?
-    } else if let Some(len) = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if payload.len() < len {
-            return Err(ClientError::Protocol(format!(
-                "truncated body ({} of {len} bytes)",
-                payload.len()
-            )));
-        }
-        payload[..len].to_vec()
-    } else {
-        // Connection-close delimited.
-        payload.to_vec()
-    };
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: String::from_utf8_lossy(&body_bytes).into_owned(),
-    })
-}
-
-fn decode_chunked(mut payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = payload
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| ClientError::Protocol("truncated chunk size line".into()))?;
-        let size_text = String::from_utf8_lossy(&payload[..line_end]);
-        let size = usize::from_str_radix(size_text.trim(), 16)
-            .map_err(|_| ClientError::Protocol(format!("bad chunk size `{size_text}`")))?;
-        payload = &payload[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if payload.len() < size + 2 {
-            return Err(ClientError::Protocol("truncated chunk body".into()));
-        }
-        out.extend_from_slice(&payload[..size]);
-        payload = &payload[size + 2..];
-    }
+    Ok(qsc_http::request(
+        &authority, method, path, body, IO_TIMEOUT,
+    )?)
 }
 
 // ---------------------------------------------------------------------------
@@ -417,25 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_content_length_response() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.body, "{}");
-        assert_eq!(r.header("Content-Type"), Some("application/json"));
-    }
-
-    #[test]
-    fn parses_chunked_response() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\na,b\r\n4\r\n\n1,2\r\n0\r\n\r\n";
-        let r = parse_response(raw.as_slice()).unwrap();
-        assert_eq!(r.body, "a,b\n1,2");
-    }
-
-    #[test]
-    fn truncated_responses_error() {
-        assert!(parse_response(b"HTTP/1.1 200 OK\r\n").is_err());
-        assert!(parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort").is_err());
+    fn maximal_chunk_size_is_a_protocol_error() {
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab\r\n0\r\n\r\n";
+        let err = ClientError::from(qsc_http::parse_response(raw).unwrap_err());
+        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
     }
 }

@@ -8,10 +8,8 @@
 //! actually held on each instance (and the theory's simplified runtime
 //! bound applies).
 
-use serde::{Deserialize, Serialize};
-
 /// Measured well-clusterability parameters of a labeled embedding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clusterability {
     /// Minimum pairwise centroid distance (`ξ` in Definition 4).
     pub centroid_separation: f64,

@@ -4,10 +4,9 @@
 use crate::error::ClusterError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`kmeans`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -34,7 +33,7 @@ impl Default for KMeansConfig {
 }
 
 /// Result of a k-means (or q-means) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansResult {
     /// Cluster label of every point, in `0..k`.
     pub labels: Vec<usize>,

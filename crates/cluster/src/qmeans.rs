@@ -25,11 +25,10 @@ use crate::kmeans::{lloyd_run, KMeansConfig, KMeansResult, NoiseModel};
 use qsc_sim::backend::Backend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`qmeans`]: the classical configuration plus the
 /// quantum noise magnitude `δ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QMeansConfig {
     /// The underlying k-means configuration.
     pub base: KMeansConfig,

@@ -23,11 +23,10 @@ use qsc_graph::Q_CLASSICAL;
 use qsc_json::{num, obj, FromJson, JsonError, ToJson, Value};
 use qsc_sim::backend::{Backend, NoisyStatevector, ShotSampler, Statevector};
 use qsc_sim::{DensityMatrix, RemoteBackend, ShardedStatevector};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the Laplacian-construction stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaplacianConfig {
     /// Hermitian rotation parameter `q` (`0` = direction-blind,
     /// [`Q_CLASSICAL`] = the `±i` encoding).
@@ -48,7 +47,7 @@ impl Default for LaplacianConfig {
 }
 
 /// Configuration of the spectral-embedding stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingConfig {
     /// Number of clusters `k` (and baseline embedding dimension).
     pub k: usize,
@@ -68,7 +67,7 @@ impl Default for EmbeddingConfig {
 
 /// Configuration of the clustering stage shared by every
 /// [`Clusterer`](qsc_cluster::Clusterer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringConfig {
     /// Independent restarts; the lowest-inertia run wins.
     pub restarts: usize,
@@ -92,7 +91,7 @@ impl Default for ClusteringConfig {
 /// the serializable counterpart of the
 /// [`Pipeline::backend`](crate::Pipeline::backend) builder call, consumed
 /// by [`Pipeline::backend_config`](crate::Pipeline::backend_config).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum BackendConfig {
     /// Exact, noiseless state-vector execution (the default).
     #[default]
@@ -431,7 +430,7 @@ pub fn set_backend_field(
 
 /// Precision parameters of the simulated quantum pipeline. Field names
 /// mirror the runtime analysis (DESIGN.md §4.2–4.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantumParams {
     /// Phase-register bits `t` of the QPE; eigenvalue resolution is
     /// `qpe_scale / 2^t` (this realizes `ε_λ`).

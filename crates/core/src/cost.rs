@@ -12,7 +12,6 @@
 
 use crate::config::QuantumParams;
 use qsc_graph::MixedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Flop-count proxy of the classical pipeline.
 ///
@@ -89,7 +88,7 @@ pub fn incidence_mu(g: &MixedGraph) -> f64 {
 }
 
 /// Measured instance parameters feeding [`quantum_cost`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumCostInputs {
     /// Number of vertices (for the QRAM polylog factor).
     pub n: usize,

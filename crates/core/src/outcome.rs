@@ -2,10 +2,9 @@
 
 use qsc_cluster::registry::MetricContext;
 use qsc_graph::MixedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Instance measurements and cost-model numbers attached to every run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostics {
     /// Condition number of the projected Laplacian (selected eigenvalues).
     pub kappa: f64,
@@ -27,7 +26,7 @@ pub struct Diagnostics {
 }
 
 /// Result of a spectral-clustering run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringOutcome {
     /// Cluster label per vertex, in `0..k`.
     pub labels: Vec<usize>,

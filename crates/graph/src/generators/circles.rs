@@ -7,11 +7,10 @@ use crate::error::GraphError;
 use crate::mixed::MixedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// Parameters for the two-circles dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CirclesParams {
     /// Total number of points (split evenly between the two circles).
     pub n: usize,

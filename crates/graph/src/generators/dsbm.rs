@@ -11,10 +11,9 @@ use crate::error::GraphError;
 use crate::mixed::MixedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Orientation pattern imposed on inter-cluster arcs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetaGraph {
     /// Cluster `j` sends arcs to cluster `(j+1) mod k` (cyclic flow).
     Cycle,
@@ -54,7 +53,7 @@ impl MetaGraph {
 }
 
 /// Parameters of the mixed DSBM generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsbmParams {
     /// Number of vertices (split as evenly as possible across clusters).
     pub n: usize,

@@ -13,10 +13,9 @@ use crate::generators::dsbm::PlantedGraph;
 use crate::mixed::MixedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic netlist generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistParams {
     /// Number of pipeline stages (modules).
     pub num_modules: usize,

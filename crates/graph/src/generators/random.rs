@@ -5,10 +5,9 @@ use crate::error::GraphError;
 use crate::mixed::MixedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random mixed-graph generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomMixedParams {
     /// Number of vertices.
     pub n: usize,

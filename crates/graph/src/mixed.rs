@@ -1,11 +1,10 @@
 //! The mixed-graph data structure: undirected edges plus directed arcs.
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// An undirected, weighted edge `{u, v}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// First endpoint (the smaller index after normalization).
     pub u: usize,
@@ -16,7 +15,7 @@ pub struct Edge {
 }
 
 /// A directed, weighted arc `from → to`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arc {
     /// Tail (source) vertex.
     pub from: usize,
@@ -50,12 +49,11 @@ pub struct Arc {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MixedGraph {
     n: usize,
     edges: Vec<Edge>,
     arcs: Vec<Arc>,
-    #[serde(skip)]
     occupied: HashSet<(usize, usize)>,
 }
 

@@ -1,8 +1,7 @@
 //! # qsc-json — the serialization substrate of the spec-driven suite
 //!
-//! The workspace builds fully offline, so the real `serde` ecosystem is
-//! unavailable (the `serde` path dependency is a no-op derive shim). This
-//! crate is the small, dependency-free JSON layer that experiment specs,
+//! The workspace builds fully offline, with no serialization framework.
+//! This crate is the small, dependency-free JSON layer that experiment specs,
 //! graph specs and backend configs actually serialize through:
 //!
 //! * [`Value`] — an order-preserving JSON document model,

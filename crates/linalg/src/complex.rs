@@ -5,7 +5,6 @@
 //! the full arithmetic surface needed by the Hermitian eigensolvers and the
 //! quantum state-vector simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(z.abs(), 5.0);
 /// assert_eq!(z * z.conj(), Complex64::new(25.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex64 {
     /// Real part.

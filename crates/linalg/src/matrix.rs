@@ -7,7 +7,6 @@ use crate::parallel;
 use crate::vector;
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -30,7 +29,7 @@ const MATMUL_TILE_K: usize = 64;
 /// let m = CMatrix::from_fn(3, 3, |i, j| Complex64::real((i * 3 + j) as f64));
 /// assert_eq!(&id * &m, m);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     nrows: usize,
     ncols: usize,

@@ -36,8 +36,6 @@ use crate::state::QuantumState;
 use qsc_json::{num, obj, s, JsonError, Value};
 use qsc_linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
 use rand::rngs::StdRng;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -712,7 +710,7 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
 }
 
 // ---------------------------------------------------------------------------
-// Client side: a minimal HTTP/1.1 POST (std::net only)
+// Client side: one POST through `qsc-http`
 // ---------------------------------------------------------------------------
 
 fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
@@ -722,67 +720,25 @@ fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
     }
 }
 
-fn http_post(addr: &str, path: &str, body: &str, timeout: Duration) -> Result<String, SimError> {
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| transport_err(addr, format!("address resolution failed: {e}")))?
-        .next()
-        .ok_or_else(|| transport_err(addr, "address resolved to nothing"))?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)
-        .map_err(|e| transport_err(addr, format!("connect failed: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| transport_err(addr, format!("socket configuration failed: {e}")))?;
-
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| transport_err(addr, format!("request write failed: {e}")))?;
-
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| transport_err(addr, format!("response read failed: {e}")))?;
-    let text = String::from_utf8(raw).map_err(|_| transport_err(addr, "response is not UTF-8"))?;
-
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| transport_err(addr, "response truncated before the body"))?;
-    let status_line = head.lines().next().unwrap_or_default();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| transport_err(addr, format!("malformed status line `{status_line}`")))?;
-    let content_length: Option<usize> = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok());
-    let body_text = match content_length {
-        Some(len) if payload.len() >= len => &payload[..len],
-        Some(len) => {
-            return Err(transport_err(
-                addr,
-                format!("response truncated: {} of {len} body bytes", payload.len()),
-            ))
-        }
-        None => payload,
-    };
-    if status != 200 {
-        // Surface the server's error message if the body carries one.
-        let detail = Value::parse(body_text)
+/// The body of a `200` reply; every transport or parse failure and every
+/// other status (with the server's `error` message when the body carries
+/// one) is a [`SimError::Remote`].
+fn reply_body(
+    addr: &str,
+    reply: Result<qsc_http::Response, qsc_http::Error>,
+) -> Result<String, SimError> {
+    let response = reply.map_err(|e| transport_err(addr, e.to_string()))?;
+    if response.status != 200 {
+        let detail = Value::parse(&response.body)
             .ok()
             .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
-            .unwrap_or_else(|| body_text.chars().take(200).collect());
-        return Err(transport_err(addr, format!("status {status}: {detail}")));
+            .unwrap_or_else(|| response.body.chars().take(200).collect());
+        return Err(transport_err(
+            addr,
+            format!("status {}: {detail}", response.status),
+        ));
     }
-    Ok(body_text.to_string())
+    Ok(response.body)
 }
 
 // ---------------------------------------------------------------------------
@@ -888,7 +844,8 @@ impl RemoteBackend {
         let body = obj(all)
             .to_json_canonical()
             .map_err(|e| transport_err(&self.addr, format!("request encoding failed: {e}")))?;
-        let response = http_post(&self.addr, EXEC_PATH, &body, self.timeout)?;
+        let reply = qsc_http::request(&self.addr, "POST", EXEC_PATH, Some(&body), self.timeout);
+        let response = reply_body(&self.addr, reply)?;
         let doc = Value::parse(&response)
             .map_err(|e| transport_err(&self.addr, format!("malformed response: {e}")))?;
         let rng_v = doc
@@ -1361,6 +1318,21 @@ mod tests {
         assert!(matches!(err, SimError::Remote { .. }), "{err}");
         let err = backend.estimate_probability(0.5, &mut rng).unwrap_err();
         assert!(matches!(err, SimError::Remote { .. }), "{err}");
+    }
+
+    #[test]
+    fn reply_cut_through_a_utf8_character_is_a_remote_error() {
+        // `é` is two bytes; a Content-Length of 11 keeps only its first.
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n{\"error\":\"é\"}";
+        let err = reply_body("h:1", qsc_http::parse_response(raw.as_bytes())).unwrap_err();
+        assert!(matches!(err, SimError::Remote { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_200_reply_carries_the_server_error_message() {
+        let raw = "HTTP/1.1 400 Bad Request\r\nContent-Length: 14\r\n\r\n{\"error\":\"no\"}";
+        let err = reply_body("h:1", qsc_http::parse_response(raw.as_bytes())).unwrap_err();
+        assert_eq!(err.to_string(), "remote executor h:1: status 400: no");
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! with the right error bars; it matches the order-of-magnitude accounting
 //! such papers report.
 
-use serde::{Deserialize, Serialize};
-
 /// Modeled two-qubit-gate cost of one controlled-`U` application on an
 /// `s`-qubit system (sparse Hamiltonian simulation heuristic).
 pub const CU_GATE_FACTOR: usize = 20;
 
 /// Gate/qubit/depth estimate for a circuit or pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceEstimate {
     /// Total qubits (system + phase register + ancillas).
     pub qubits: usize,

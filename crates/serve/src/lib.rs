@@ -12,9 +12,10 @@
 //! version + scale). Re-submitting a spec anyone has run before answers
 //! from disk without invoking the simulator.
 //!
-//! Built entirely on `std::net` (HTTP/1.1, `Connection: close`, chunked
-//! transfer for row streaming): no framework, no async runtime, no new
-//! dependencies — matching the workspace's offline discipline.
+//! Built entirely on `std::net` and the workspace's one HTTP/1.1 module,
+//! `qsc-http` (`Connection: close`, chunked transfer for row streaming):
+//! no framework, no async runtime, no new dependencies — matching the
+//! workspace's offline discipline.
 //!
 //! # Layers
 //!
@@ -23,7 +24,7 @@
 //! | [`sha256`] | FIPS 180-4 SHA-256 (the content-address hash) |
 //! | [`cache`] | checksummed on-disk result cache; corrupt entries evicted, never served |
 //! | [`job`] | bounded backpressure queue, worker pool, per-job progress |
-//! | [`http`] | request parsing + fixed-length/chunked responses |
+//! | [`qsc_http`] (crate) | request parsing + fixed-length/chunked responses — the workspace's single HTTP/1.1 transport |
 //! | [`exec`] | the executor endpoint: hosted backends behind `POST /v1/exec` |
 //! | [`server`] | routing, the endpoints, the accept loop |
 //!
@@ -36,7 +37,6 @@
 
 pub mod cache;
 pub mod exec;
-pub mod http;
 pub mod job;
 pub mod server;
 pub mod sha256;

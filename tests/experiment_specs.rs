@@ -3,7 +3,7 @@
 //! Two golden-file tests pin the quick-scale `table1`/`table3` CSVs
 //! **bit-identical** to the retired hand-written experiment functions (the
 //! goldens under `crates/bench/goldens/` were generated by the old code
-//! immediately before its removal), and the serde round-trip tests pin the
+//! immediately before its removal), and the JSON round-trip tests pin the
 //! spec model: `ExperimentSpec`, `GraphSpec` and `BackendConfig` all
 //! survive serialize → parse unchanged and reject unknown fields.
 
