@@ -3,7 +3,7 @@
 //! Two groups:
 //!
 //! * `backend_exec` — compiled QPE-circuit execution on the `Statevector`
-//!   backend, unfused vs gate-fused, plus the pooled-buffer batch loop the
+//!   backend, verbatim vs through the gate-fusion compile pass, plus the pooled-buffer batch loop the
 //!   `run_many` fan-out exercises.
 //! * `noise_curve` — the recorded, seeded accuracy-degradation curve: the
 //!   full quantum pipeline on a flow-DSBM instance across depolarizing /
@@ -14,19 +14,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_cluster::metrics::matched_accuracy;
 use qsc_core::{
-    DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QuantumParams, ShardedStatevector,
-    ShotSampler,
+    DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QuantumParams, ShotSampler,
 };
 use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
 use qsc_linalg::CMatrix;
 use qsc_sim::backend::{Backend, Statevector};
+use qsc_sim::compile::fuse_single_qubit;
 use qsc_sim::qpe::qpe_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
 /// Compiled 12-qubit QPE circuit (4 system + 8 phase bits) executed on the
-/// statevector backend: verbatim vs gate-fused, and with buffer-pool reuse
+/// statevector backend: verbatim vs fused by the compile pass first, and with buffer-pool reuse
 /// across a batch of basis states.
 fn bench_backend_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_exec");
@@ -47,14 +47,14 @@ fn bench_backend_exec(c: &mut Criterion) {
             plain.recycle(state);
         })
     });
-    let fused = Statevector::fused();
+    // Compile pass + run per iteration: the work a caller that fuses
+    // before `Backend::run` pays.
     group.bench_function("qpe12_statevector_fused", |b| {
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| {
-            let state = fused
-                .execute(black_box(&circuit), 5, &mut rng)
-                .expect("run");
-            fused.recycle(state);
+            let fused = fuse_single_qubit(black_box(&circuit));
+            let state = plain.execute(&fused, 5, &mut rng).expect("run");
+            plain.recycle(state);
         })
     });
     // 16-execution batch with recycle (pooled) vs without (fresh allocs).
@@ -146,50 +146,5 @@ fn bench_noise_curve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard-parallel execution vs the plain statevector on the compiled QPE
-/// circuit, plus sharded sampling (per-shard masses + skip-list shots) vs
-/// the full linear scan.
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(2);
-    let h = CMatrix::random_hermitian(16, &mut rng);
-    let u = qsc_linalg::expm::expi(&h, 0.8).expect("unitary");
-    let eig = qsc_linalg::eig::eig_unitary(&u).expect("diagonalizable");
-    let circuit = qpe_circuit(&eig, 8).expect("circuit");
-
-    let plain = Statevector::new();
-    for shards in [2usize, 4] {
-        let backend = ShardedStatevector::with_shards(shards);
-        group.bench_function(format!("qpe12_exec_shards{shards}"), |b| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| {
-                let state = backend
-                    .execute(black_box(&circuit), 5, &mut rng)
-                    .expect("run");
-                backend.recycle(state);
-            })
-        });
-    }
-    let mut rng = StdRng::seed_from_u64(3);
-    let state = plain.execute(&circuit, 5, &mut rng).expect("run");
-    group.bench_function("qpe12_sample4096_plain", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(plain.sample(black_box(&state), 4096, &mut rng).unwrap()))
-    });
-    let sharded = ShardedStatevector::with_shards(4);
-    group.bench_function("qpe12_sample4096_shards4", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(sharded.sample(black_box(&state), 4096, &mut rng).unwrap()))
-    });
-    plain.recycle(state);
-    group.finish();
-}
-
-criterion_group!(
-    backends,
-    bench_backend_exec,
-    bench_sharded,
-    bench_noise_curve
-);
+criterion_group!(backends, bench_backend_exec, bench_noise_curve);
 criterion_main!(backends);

@@ -22,7 +22,7 @@
 use qsc_graph::Q_CLASSICAL;
 use qsc_json::{num, obj, FromJson, JsonError, ToJson, Value};
 use qsc_sim::backend::{Backend, NoisyStatevector, ShotSampler, Statevector};
-use qsc_sim::{DensityMatrix, RemoteBackend, ShardedStatevector};
+use qsc_sim::{DensityMatrix, RemoteBackend};
 use std::sync::Arc;
 
 /// Configuration of the Laplacian-construction stage.
@@ -96,15 +96,6 @@ pub enum BackendConfig {
     /// Exact, noiseless state-vector execution (the default).
     #[default]
     Statevector,
-    /// Statevector execution with the gate-fusion compile pass enabled.
-    FusedStatevector,
-    /// Exact execution sharded over the worker pool by high-qubit blocks
-    /// (bit-identical amplitudes to `Statevector`).
-    Sharded {
-        /// Shard count (a power of two); `None` sizes the shards to the
-        /// worker pool.
-        shards: Option<usize>,
-    },
     /// Depolarizing + readout-error statevector simulation (seeded
     /// Monte-Carlo trajectories).
     Noisy {
@@ -144,8 +135,6 @@ impl BackendConfig {
     pub fn kind_name(&self) -> &'static str {
         match self {
             BackendConfig::Statevector => "statevector",
-            BackendConfig::FusedStatevector => "fused_statevector",
-            BackendConfig::Sharded { .. } => "sharded",
             BackendConfig::Noisy { .. } => "noisy",
             BackendConfig::Density { .. } => "density",
             BackendConfig::Shots { .. } => "shots",
@@ -184,18 +173,6 @@ impl BackendConfig {
         };
         match *self {
             BackendConfig::Statevector => Ok(Arc::new(Statevector::new())),
-            BackendConfig::FusedStatevector => Ok(Arc::new(Statevector::fused())),
-            BackendConfig::Sharded { shards } => match shards {
-                None => Ok(Arc::new(ShardedStatevector::new())),
-                Some(s) => {
-                    if s == 0 || !s.is_power_of_two() {
-                        return Err(crate::error::Error::InvalidRequest {
-                            context: format!("shard count must be a power of two, got {s}"),
-                        });
-                    }
-                    Ok(Arc::new(ShardedStatevector::with_shards(s)))
-                }
-            },
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -255,11 +232,6 @@ impl ToJson for BackendConfig {
         };
         match self {
             BackendConfig::Statevector => Value::Str("statevector".into()),
-            BackendConfig::FusedStatevector => Value::Str("fused_statevector".into()),
-            BackendConfig::Sharded { shards: None } => Value::Str("sharded".into()),
-            BackendConfig::Sharded { shards: Some(s) } => {
-                obj([("sharded", obj([("shards", num(*s as f64))]))])
-            }
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -294,12 +266,10 @@ impl FromJson for BackendConfig {
         match value {
             Value::Str(name) => match name.as_str() {
                 "statevector" => Ok(BackendConfig::Statevector),
-                "fused_statevector" => Ok(BackendConfig::FusedStatevector),
-                "sharded" => Ok(BackendConfig::Sharded { shards: None }),
                 other => Err(JsonError::msg(format!(
                     "backend: unknown backend `{other}` (expected statevector | \
-                     fused_statevector | sharded | {{\"sharded\": …}} | {{\"noisy\": …}} | \
-                     {{\"density\": …}} | {{\"shots\": …}})"
+                     {{\"noisy\": …}} | {{\"density\": …}} | {{\"shots\": …}} | \
+                     {{\"remote\": …}})"
                 ))),
             },
             Value::Obj(_) => {
@@ -316,13 +286,6 @@ impl FromJson for BackendConfig {
                         depolarizing,
                         readout_flip,
                     }
-                } else if let Some(sharded) = r.take("sharded") {
-                    let mut sr = sharded.reader("backend.sharded")?;
-                    let config = BackendConfig::Sharded {
-                        shards: sr.opt_usize("shards")?,
-                    };
-                    sr.finish()?;
-                    config
                 } else if let Some(shots) = r.take("shots") {
                     BackendConfig::Shots {
                         shots: shots.as_usize().ok_or_else(|| {
@@ -346,8 +309,8 @@ impl FromJson for BackendConfig {
                     }
                 } else {
                     return Err(JsonError::msg(
-                        "backend: expected a `sharded`, `noisy`, `density`, `shots` or \
-                         `remote` variant",
+                        "backend: expected a `noisy`, `density`, `shots` or `remote` \
+                         variant",
                     ));
                 };
                 r.finish()?;
@@ -414,14 +377,10 @@ pub fn set_backend_field(
             BackendConfig::Shots { shots } => *shots = as_usize(value)?,
             other => return Err(kind_mismatch(other.kind_name())),
         },
-        "shards" => match config {
-            BackendConfig::Sharded { shards } => *shards = Some(as_usize(value)?),
-            other => return Err(kind_mismatch(other.kind_name())),
-        },
         other => {
             return Err(JsonError::msg(format!(
                 "backend.{other}: no such backend field (expected depolarizing | readout_flip \
-                 | shots | shards)"
+                 | shots)"
             )))
         }
     }
@@ -590,9 +549,6 @@ mod tests {
     fn backend_config_json_round_trips() {
         let configs = [
             BackendConfig::Statevector,
-            BackendConfig::FusedStatevector,
-            BackendConfig::Sharded { shards: None },
-            BackendConfig::Sharded { shards: Some(4) },
             BackendConfig::Noisy {
                 depolarizing: 0.05,
                 readout_flip: 0.01,
@@ -617,7 +573,8 @@ mod tests {
             r#""statevctor""#,
             r#"{"noisy": {"depolarizing": 0.1, "readout": 0.0}}"#,
             r#"{"density": {"depolarizing": 0.1, "readout": 0.0}}"#,
-            r#"{"sharded": {"shard": 4}}"#,
+            r#""sharded""#,
+            r#""fused_statevector""#,
             r#"{"shots": 16, "extra": 1}"#,
             r#"{"unknown_variant": {}}"#,
             "3",
@@ -739,15 +696,6 @@ mod tests {
     fn backend_config_builds_named_backends() {
         let name = |cfg: BackendConfig| cfg.build().expect("valid config").name();
         assert_eq!(name(BackendConfig::default()), "statevector");
-        assert_eq!(name(BackendConfig::FusedStatevector), "statevector_fused");
-        assert_eq!(
-            name(BackendConfig::Sharded { shards: Some(2) }),
-            "sharded_statevector"
-        );
-        assert_eq!(
-            name(BackendConfig::Sharded { shards: None }),
-            "sharded_statevector"
-        );
         assert_eq!(
             name(BackendConfig::Noisy {
                 depolarizing: 0.1,
@@ -768,8 +716,6 @@ mod tests {
     #[test]
     fn backend_config_rejects_out_of_range_values() {
         assert!(BackendConfig::Shots { shots: 0 }.build().is_err());
-        assert!(BackendConfig::Sharded { shards: Some(3) }.build().is_err());
-        assert!(BackendConfig::Sharded { shards: Some(0) }.build().is_err());
         assert!(BackendConfig::Noisy {
             depolarizing: -0.1,
             readout_flip: 0.0
@@ -820,9 +766,6 @@ mod tests {
         let mut shots = BackendConfig::Shots { shots: 16 };
         set_backend_field(&mut shots, "shots", &Value::Num(512.0)).unwrap();
         assert_eq!(shots, BackendConfig::Shots { shots: 512 });
-        let mut sharded = BackendConfig::Sharded { shards: None };
-        set_backend_field(&mut sharded, "shards", &Value::Num(8.0)).unwrap();
-        assert_eq!(sharded, BackendConfig::Sharded { shards: Some(8) });
 
         // Fields only exist on the kinds that carry them, and names are
         // validated.

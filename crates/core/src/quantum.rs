@@ -86,33 +86,13 @@ impl Embedder for QpeTomography {
                 ),
             });
         }
-        if let Some(limit) = ctx.backend.phase_register_limit() {
-            if params.qpe_bits > limit {
-                // Surfaced as a budget error (not InvalidRequest): the
-                // request is fine on a cheaper backend, which lets a
-                // resilience fallback chain degrade instead of aborting.
-                return Err(Error::Sim(qsc_sim::SimError::BudgetExceeded {
-                    requested_bytes: qsc_sim::budget::register_amplitudes(2 * params.qpe_bits)
-                        .saturating_mul(qsc_sim::budget::AMP_BYTES),
-                    budget_bytes: qsc_sim::budget::register_amplitudes(2 * limit)
-                        .saturating_mul(qsc_sim::budget::AMP_BYTES),
-                    context: format!(
-                        "qpe_bits = {} exceeds the {}-qubit phase-register limit of the `{}` \
-                         backend",
-                        params.qpe_bits,
-                        limit,
-                        ctx.backend.name()
-                    ),
-                }));
-            }
-        }
-        // Pre-allocation estimate for the 2^t phase register, against the
+        // The backend's register limit, then the 2^t estimate against the
         // policy budget threaded through the stage context (or the global
         // one); also the `allocation` fault-injection point.
-        qsc_sim::budget::check_allocation_within(
+        qsc_sim::budget::check_phase_register(
+            ctx.backend.as_ref(),
+            params.qpe_bits,
             ctx.state_budget_bytes,
-            qsc_sim::budget::register_amplitudes(params.qpe_bits),
-            "qpe phase register",
         )?;
         // Mix the user seed so the quantum-noise stream differs from the
         // k-means stream derived from the same seed.

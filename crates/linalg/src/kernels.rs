@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD tiers for the complex hot-loop kernels.
 //!
 //! Every dense numeric hot path in the workspace — single-qubit gate pair
-//! loops, the blocked matmul/matvec inner products, per-shard gate
-//! application, vector axpy/dot — bottoms out in one of five primitive
+//! loops, the blocked matmul/matvec inner products, the density backend's
+//! flat-buffer gate application, vector axpy/dot — bottoms out in one of five primitive
 //! kernels defined here:
 //!
 //! | kernel | operation | contract |

@@ -1,15 +1,14 @@
 //! Pluggable execution backends for compiled circuits.
 //!
 //! The quantum stages *compile* their work into [`Circuit`] IR and hand it
-//! to a [`Backend`] for execution. Five backends ship (see
+//! to a [`Backend`] for execution. Backends only execute: a compile pass
+//! such as [`fuse_single_qubit`](crate::compile::fuse_single_qubit) runs
+//! before [`Backend::run`], in the caller. The shipped backends (see
 //! `docs/BACKENDS.md` for the selection guide):
 //!
 //! * [`Statevector`] — exact, noiseless state-vector execution on the
 //!   cache-blocked kernels; the default, and bit-identical to applying the
 //!   ops directly.
-//! * [`ShardedStatevector`](crate::shard::ShardedStatevector) — the same
-//!   exact execution with the state split into high-qubit shards fanned
-//!   over the worker pool; bit-identical amplitudes, parallel schedule.
 //! * [`NoisyStatevector`] — the same execution with a per-gate depolarizing
 //!   channel (Monte-Carlo Pauli insertion during [`Backend::run`]) and a
 //!   per-bit readout-flip channel on measurement; its distribution-level
@@ -57,7 +56,6 @@
 //! ```
 
 use crate::circuit::Circuit;
-use crate::compile::fuse_single_qubit;
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
@@ -409,28 +407,16 @@ pub(crate) fn prepare_pooled(
 
 /// Exact, noiseless state-vector execution — the default backend, and the
 /// reference the others are validated against. Runs circuits verbatim
-/// (bit-identical to applying the ops directly); construct with
-/// [`Statevector::fused`] to apply the single-qubit gate-fusion pass before
-/// execution.
+/// (bit-identical to applying the ops directly).
 #[derive(Debug, Default)]
 pub struct Statevector {
     pool: BufferPool,
-    fuse: bool,
 }
 
 impl Statevector {
-    /// The bit-exact backend (no fusion).
+    /// The exact backend.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A statevector backend that gate-fuses circuits before running them
-    /// (same unitary, amplitudes equal to rounding).
-    pub fn fused() -> Self {
-        Self {
-            pool: BufferPool::default(),
-            fuse: true,
-        }
     }
 
     /// The backend's buffer pool (for reuse diagnostics).
@@ -441,11 +427,7 @@ impl Statevector {
 
 impl Backend for Statevector {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "statevector_fused"
-        } else {
-            "statevector"
-        }
+        "statevector"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
@@ -459,11 +441,7 @@ impl Backend for Statevector {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        if self.fuse {
-            fuse_single_qubit(circuit).run(state)?;
-        } else {
-            circuit.run(state)?;
-        }
+        circuit.run(state)?;
         state.check_norm(NORM_DRIFT_TOL, self.name())
     }
 
@@ -520,7 +498,6 @@ pub struct NoisyStatevector {
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
     pub readout_flip: f64,
-    fuse: bool,
 }
 
 impl NoisyStatevector {
@@ -538,19 +515,7 @@ impl NoisyStatevector {
             pool: BufferPool::default(),
             depolarizing,
             readout_flip,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before **circuit execution**
-    /// ([`Backend::run`]): fused circuits have fewer gates, so Monte-Carlo
-    /// depolarizing events are inserted at fewer points — as on hardware.
-    /// The analytic distribution-level methods
-    /// ([`Backend::phase_distribution`], [`Backend::estimate_probability`])
-    /// model the textbook *unfused* register pass either way.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     fn depolarize(
@@ -575,11 +540,7 @@ impl NoisyStatevector {
 
 impl Backend for NoisyStatevector {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "noisy_statevector_fused"
-        } else {
-            "noisy_statevector"
-        }
+        "noisy_statevector"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
@@ -593,24 +554,17 @@ impl Backend for NoisyStatevector {
         rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        let fused_storage;
-        let to_run = if self.fuse {
-            fused_storage = fuse_single_qubit(circuit);
-            &fused_storage
-        } else {
-            circuit
-        };
-        if state.num_qubits() != to_run.num_qubits() {
+        if state.num_qubits() != circuit.num_qubits() {
             return Err(SimError::DimensionMismatch {
                 context: format!(
                     "circuit on {} qubits, state on {}",
-                    to_run.num_qubits(),
+                    circuit.num_qubits(),
                     state.num_qubits()
                 ),
             });
         }
-        let all_qubits: Vec<usize> = (0..to_run.num_qubits()).collect();
-        for op in to_run.ops() {
+        let all_qubits: Vec<usize> = (0..circuit.num_qubits()).collect();
+        for op in circuit.ops() {
             op.apply(state)?;
             if self.depolarizing > 0.0 {
                 let touched = if op.spans_register() {
@@ -693,7 +647,6 @@ pub struct ShotSampler {
     pool: BufferPool,
     /// Shots behind every probability estimate.
     pub shots: usize,
-    fuse: bool,
 }
 
 impl ShotSampler {
@@ -707,24 +660,13 @@ impl ShotSampler {
         Self {
             pool: BufferPool::default(),
             shots,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before execution.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 }
 
 impl Backend for ShotSampler {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "shot_sampler_fused"
-        } else {
-            "shot_sampler"
-        }
+        "shot_sampler"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
@@ -738,11 +680,7 @@ impl Backend for ShotSampler {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        if self.fuse {
-            fuse_single_qubit(circuit).run(state)?;
-        } else {
-            circuit.run(state)?;
-        }
+        circuit.run(state)?;
         state.check_norm(NORM_DRIFT_TOL, self.name())
     }
 
@@ -958,7 +896,6 @@ mod tests {
     fn backends_are_object_safe_and_named() {
         let backends: Vec<Box<dyn Backend>> = vec![
             Box::new(Statevector::new()),
-            Box::new(Statevector::fused()),
             Box::new(NoisyStatevector::new(0.01, 0.01)),
             Box::new(ShotSampler::new(64)),
         ];

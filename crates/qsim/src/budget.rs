@@ -5,8 +5,10 @@
 //! with an OOM long after the mistake was made. The checks here estimate
 //! the footprint *first* and return [`SimError::BudgetExceeded`] while the
 //! request is still recoverable. Backends route allocation through
-//! [`Backend::try_prepare`](crate::backend::Backend::try_prepare); the
-//! pipeline's quantum stage checks its phase register up front.
+//! [`Backend::try_prepare`]; every caller of
+//! [`Backend::phase_distribution`] with an untrusted width (the pipeline's
+//! quantum stage, the remote executor) checks the phase register up front
+//! with [`check_phase_register`].
 //!
 //! The budget defaults to [`DEFAULT_STATE_BUDGET_BYTES`] and can be
 //! overridden per process with the `QSC_STATE_BUDGET_BYTES` environment
@@ -28,6 +30,7 @@
 //! assert!(err.unwrap_err().to_string().contains("budget"));
 //! ```
 
+use crate::backend::Backend;
 use crate::error::SimError;
 
 /// Bytes per stored amplitude (`Complex64`).
@@ -90,6 +93,41 @@ pub fn check_allocation_within(
         });
     }
     Ok(())
+}
+
+/// Checks a `t`-bit QPE phase register before
+/// [`Backend::phase_distribution`] allocates it: first against the
+/// backend's [`phase_register_limit`](Backend::phase_register_limit), then
+/// the `2^t` register against the budget (`None` = the process-wide one).
+///
+/// An over-limit width is a budget error, not an invalid request: the same
+/// request is fine on a cheaper backend, which lets a resilience fallback
+/// chain degrade instead of aborting.
+///
+/// # Errors
+///
+/// Returns [`SimError::BudgetExceeded`] for a width over the backend's
+/// limit or over the budget, or when an armed fault plan fires the
+/// `allocation` point (the limit check never consumes a fault site).
+pub fn check_phase_register(
+    backend: &dyn Backend,
+    t: usize,
+    budget_bytes: Option<u64>,
+) -> Result<(), SimError> {
+    if let Some(limit) = backend.phase_register_limit() {
+        if t > limit {
+            return Err(SimError::BudgetExceeded {
+                requested_bytes: register_amplitudes(2 * t).saturating_mul(AMP_BYTES),
+                budget_bytes: register_amplitudes(2 * limit).saturating_mul(AMP_BYTES),
+                context: format!(
+                    "qpe_bits = {t} exceeds the {limit}-qubit phase-register limit of the `{}` \
+                     backend",
+                    backend.name()
+                ),
+            });
+        }
+    }
+    check_allocation_within(budget_bytes, register_amplitudes(t), "qpe phase register")
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! The only pass so far is [`fuse_single_qubit`]: adjacent single-qubit
 //! gates on the same qubit are folded into one [`Op::Gate1`] by 2×2 matrix
 //! multiplication, so a run of `t` rotations costs one state-vector sweep
-//! instead of `t`. Backends apply it when constructed with fusion enabled
-//! (e.g. [`Statevector::fused`](crate::backend::Statevector::fused)).
+//! instead of `t`. It is a pure `Circuit → Circuit` rewrite: a caller that
+//! wants fusion applies it before [`Backend::run`](crate::backend::Backend::run);
+//! backends themselves execute circuits verbatim.
 
 use crate::circuit::{Circuit, Mat2, Op};
 use crate::gates;
@@ -72,9 +73,8 @@ fn flush(pending: &mut [Option<PendingRun>], q: usize, out: &mut Circuit) {
 /// span the register, like [`Op::PhaseCascade`], interrupt every run).
 /// Runs of length one are re-emitted verbatim, so a circuit with nothing to
 /// fuse round-trips unchanged. The fused circuit computes the same unitary;
-/// amplitudes agree to rounding (≈1e-15 per fused pair), which is why the
-/// bit-exact [`Statevector`](crate::backend::Statevector) backend leaves
-/// fusion off by default.
+/// amplitudes agree to rounding (≈1e-15 per fused pair), which is why no
+/// compile stage applies it to the bit-exact pipeline path.
 pub fn fuse_single_qubit(circuit: &Circuit) -> Circuit {
     let n = circuit.num_qubits();
     let mut out = Circuit::new(n);

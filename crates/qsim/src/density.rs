@@ -42,7 +42,6 @@
 
 use crate::backend::{Backend, BufferPool};
 use crate::circuit::{Circuit, Mat2, Op};
-use crate::compile::fuse_single_qubit;
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
@@ -69,7 +68,6 @@ pub struct DensityMatrix {
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
     pub readout_flip: f64,
-    fuse: bool,
 }
 
 impl DensityMatrix {
@@ -87,18 +85,7 @@ impl DensityMatrix {
             pool: BufferPool::default(),
             depolarizing,
             readout_flip,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before execution: fused circuits have
-    /// fewer gates, so the depolarizing channel is applied at fewer points
-    /// — the same semantics as
-    /// [`NoisyStatevector::with_fusion`](crate::backend::NoisyStatevector::with_fusion),
-    /// but on the exact channel instead of its trajectories.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     /// The exact measurement distribution of an executed state: `diag(ρ)`
@@ -368,11 +355,7 @@ fn conj2(g: &Mat2) -> Mat2 {
 
 impl Backend for DensityMatrix {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "density_matrix_fused"
-        } else {
-            "density_matrix"
-        }
+        "density_matrix"
     }
 
     /// Prepares `vec(|basis⟩⟨basis|)` — a [`QuantumState`] on
@@ -421,14 +404,7 @@ impl Backend for DensityMatrix {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         crate::backend::injected_run_fault()?;
-        let fused_storage;
-        let to_run = if self.fuse {
-            fused_storage = fuse_single_qubit(circuit);
-            &fused_storage
-        } else {
-            circuit
-        };
-        let n = to_run.num_qubits();
+        let n = circuit.num_qubits();
         if state.num_qubits() != 2 * n {
             return Err(SimError::DimensionMismatch {
                 context: format!(
@@ -444,7 +420,7 @@ impl Backend for DensityMatrix {
             n,
         };
         let all_qubits: Vec<usize> = (0..n).collect();
-        for op in to_run.ops() {
+        for op in circuit.ops() {
             rho.apply_op(op)?;
             if self.depolarizing > 0.0 {
                 let touched = if op.spans_register() {
@@ -833,11 +809,12 @@ mod tests {
         // Fusion changes *where* the depolarizing channel is applied; at
         // zero noise it must not change ρ beyond rounding.
         let c = kitchen_sink(3);
-        let plain = DensityMatrix::new(0.0, 0.0);
-        let fused = DensityMatrix::new(0.0, 0.0).with_fusion();
+        let dm = DensityMatrix::new(0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(11);
-        let a = plain.execute(&c, 0, &mut rng).unwrap();
-        let b = fused.execute(&c, 0, &mut rng).unwrap();
+        let a = dm.execute(&c, 0, &mut rng).unwrap();
+        let b = dm
+            .execute(&crate::compile::fuse_single_qubit(&c), 0, &mut rng)
+            .unwrap();
         let err = a
             .amplitudes()
             .iter()
@@ -845,8 +822,7 @@ mod tests {
             .map(|(x, y)| (*x - *y).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-12, "fusion drift {err}");
-        assert_eq!(fused.name(), "density_matrix_fused");
-        plain.recycle(a);
-        fused.recycle(b);
+        dm.recycle(a);
+        dm.recycle(b);
     }
 }

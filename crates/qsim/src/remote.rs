@@ -677,8 +677,10 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
                 .as_usize()
                 .ok_or_else(|| JsonError::msg("exec request: t must be a bit count"))?;
             r.finish()?;
-            backend
-                .phase_distribution(phi, t, &mut rng)
+            // `t` is the client's: check the register before the backend
+            // allocates 2^t (or 4^t) entries for it.
+            crate::budget::check_phase_register(backend, t, None)
+                .and_then(|()| backend.phase_distribution(phi, t, &mut rng))
                 .map(|probs| obj([("probs", Value::Arr(probs.iter().map(|&p| num(p)).collect()))]))
         }
         "estimate_probability" => {

@@ -5,8 +5,16 @@
 //! canonical JSON of their config, so a sweep hammering one executor with
 //! thousands of calls builds each backend kind exactly once (backends are
 //! stateless between calls apart from their buffer pools — which is
-//! exactly what makes reuse safe *and* fast). Requests without a
-//! `backend` field run on the host's default backend (`--backend`).
+//! exactly what makes reuse safe *and* fast). Noise parameters are
+//! client-chosen floats, so the set of configs is unbounded: the cache
+//! holds at most [`MAX_CACHED_BACKENDS`] entries and evicts one to admit a
+//! new config. Requests without a `backend` field run on the host's
+//! default backend (`--backend`).
+//!
+//! A `phase_distribution` request's register width `t` is checked by
+//! [`qsc_sim::budget::check_phase_register`] before the backend allocates
+//! `2^t` (or `4^t`) entries; an over-wide `t` answers an in-band
+//! `BudgetExceeded` simulation error.
 //!
 //! Execution is confined with `catch_unwind`: a panicking request answers
 //! `500` and the service keeps serving. The host counts in-flight and
@@ -19,6 +27,12 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Most backends the host keeps built at once. At the cap, admitting a new
+/// config evicts an arbitrary cached one; an evicted config is rebuilt on
+/// its next request (construction is allocation-free, and only the buffer
+/// pool's warm buffers are lost).
+pub const MAX_CACHED_BACKENDS: usize = 32;
 
 /// Why an exec request was not served.
 #[derive(Debug)]
@@ -90,6 +104,11 @@ impl ExecHost {
         let backend = config
             .build()
             .map_err(|e| ExecError::BadRequest(format!("invalid backend config: {e}")))?;
+        if backends.len() >= MAX_CACHED_BACKENDS {
+            if let Some(evict) = backends.keys().next().cloned() {
+                backends.remove(&evict);
+            }
+        }
         backends.insert(key, backend.clone());
         Ok(backend)
     }
@@ -140,6 +159,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn with_backend(mut fields: Vec<(String, Value)>, backend: Option<&str>) -> String {
+        if let Some(b) = backend {
+            fields.push(("backend".to_string(), Value::parse(b).unwrap()));
+        }
+        Value::Obj(fields).to_json_canonical().unwrap()
+    }
+
+    fn phase_request(t: usize, backend: Option<&str>) -> String {
+        let rng = StdRng::seed_from_u64(1);
+        let fields = vec![
+            ("op".to_string(), Value::Str("phase_distribution".into())),
+            ("phi".to_string(), Value::Num(0.25)),
+            ("t".to_string(), Value::Num(t as f64)),
+            ("rng".to_string(), rng_to_json(&rng)),
+        ];
+        with_backend(fields, backend)
+    }
+
     fn bell_request(backend: Option<&str>) -> String {
         let rng = StdRng::seed_from_u64(1);
         let mut circuit = Circuit::new(2);
@@ -150,7 +187,7 @@ mod tests {
                 target: 1,
             })
             .unwrap();
-        let mut fields = vec![
+        let fields = vec![
             ("op".to_string(), Value::Str("run".into())),
             ("circuit".to_string(), circuit_to_json(&circuit)),
             (
@@ -162,10 +199,14 @@ mod tests {
             ),
             ("rng".to_string(), rng_to_json(&rng)),
         ];
-        if let Some(b) = backend {
-            fields.push(("backend".to_string(), Value::parse(b).unwrap()));
-        }
-        Value::Obj(fields).to_json_canonical().unwrap()
+        with_backend(fields, backend)
+    }
+
+    /// The wire `kind` of an in-band simulation error, if any.
+    fn sim_error_kind(response: &str) -> Option<String> {
+        let doc = Value::parse(response).unwrap();
+        let kind = doc.get("sim_error")?.get("kind")?.as_str()?;
+        Some(kind.to_string())
     }
 
     #[test]
@@ -192,6 +233,51 @@ mod tests {
         .unwrap();
         let backends = host.backends.lock().unwrap();
         assert_eq!(backends.len(), 2, "one build per distinct config");
+    }
+
+    #[test]
+    fn backend_cache_stays_within_its_cap() {
+        let host = ExecHost::new(BackendConfig::default());
+        let reference = host.execute(&bell_request(None)).unwrap();
+        let reference_amps = Value::parse(&reference).unwrap();
+        for i in 0..40 {
+            // Zero depolarizing: every distinct config must answer the
+            // ideal amplitudes, evicted or not.
+            let config = format!(
+                r#"{{"noisy": {{"depolarizing": 0, "readout_flip": {}}}}}"#,
+                i as f64 / 1000.0
+            );
+            let response = host.execute(&bell_request(Some(&config))).unwrap();
+            assert_eq!(
+                Value::parse(&response).unwrap().get("amplitudes"),
+                reference_amps.get("amplitudes"),
+                "config {i}"
+            );
+            assert!(host.backends.lock().unwrap().len() <= MAX_CACHED_BACKENDS);
+        }
+        assert_eq!(host.backends.lock().unwrap().len(), MAX_CACHED_BACKENDS);
+        assert_eq!(host.executed(), 41);
+    }
+
+    #[test]
+    fn over_wide_phase_registers_answer_budget_exceeded_in_band() {
+        let host = ExecHost::new(BackendConfig::default());
+        let density = r#"{"density": {"depolarizing": 0.1}}"#;
+        for request in [phase_request(40, None), phase_request(14, Some(density))] {
+            let response = host.execute(&request).unwrap();
+            assert_eq!(
+                sim_error_kind(&response).as_deref(),
+                Some("budget_exceeded"),
+                "{response}"
+            );
+        }
+        // The host keeps serving normal requests on both backends.
+        for request in [phase_request(4, None), phase_request(3, Some(density))] {
+            let response = host.execute(&request).unwrap();
+            assert_eq!(sim_error_kind(&response), None, "{response}");
+            assert!(Value::parse(&response).unwrap().get("probs").is_some());
+        }
+        assert!(host.execute(&bell_request(None)).is_ok());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Property tests for the backend execution layer: compiled-circuit
 //! execution on the `Statevector` backend must be **bit-identical** to the
 //! old direct state-mutation path, a `NoisyStatevector` with zero noise
-//! must equal the ideal backend, `ShardedStatevector` amplitudes must be
-//! bit-identical to `Statevector` for every shard count (CI re-runs this
-//! suite under `RAYON_NUM_THREADS` ∈ {1, 2, 4}), the zero-noise
-//! `DensityMatrix` must reproduce the statevector's distributions, and the
-//! gate-fusion compile pass must preserve amplitudes. Random circuits are
-//! generated from seeded RNG streams via the proptest harness, so failures
-//! are reproducible.
+//! must equal the ideal backend, the zero-noise `DensityMatrix` must
+//! reproduce the statevector's distributions, and the gate-fusion compile
+//! pass must preserve amplitudes. Random circuits are generated from
+//! seeded RNG streams via the proptest harness, so failures are
+//! reproducible. CI re-runs this suite under `RAYON_NUM_THREADS` ∈
+//! {1, 2, 4}.
 //!
 //! CI additionally re-runs this whole suite once per kernel tier
 //! (`QSC_KERNELS` ∈ {scalar, portable, avx2}): because the tiers are
@@ -22,7 +21,7 @@ use qsc_suite::linalg::CMatrix;
 use qsc_suite::sim::backend::{Backend, NoisyStatevector, Statevector};
 use qsc_suite::sim::circuit::{Circuit, Op};
 use qsc_suite::sim::compile::fuse_single_qubit;
-use qsc_suite::sim::{gates, DensityMatrix, QuantumState, ShardedStatevector};
+use qsc_suite::sim::{gates, DensityMatrix, QuantumState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -221,43 +220,6 @@ proptest! {
     }
 
     #[test]
-    fn fused_statevector_backend_matches_fusing_manually(
-        seed in 0u64..1_000_000,
-        n in 2usize..4,
-        len in 1usize..25,
-    ) {
-        let circuit = random_circuit(n, len, seed);
-        let mut rng = StdRng::seed_from_u64(1);
-        let via_backend = Statevector::fused().execute(&circuit, 0, &mut rng).expect("fused backend");
-        let mut manual = QuantumState::zero_state(n);
-        fuse_single_qubit(&circuit).run(&mut manual).expect("manual fuse");
-        prop_assert_eq!(via_backend.amplitudes(), manual.amplitudes());
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_for_every_shard_count(
-        seed in 0u64..1_000_000,
-        n in 2usize..6,
-        len in 1usize..30,
-    ) {
-        let circuit = random_circuit(n, len, seed);
-        let basis = (seed % (1u64 << n)) as usize;
-        let reference = Statevector::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let expect = reference.execute(&circuit, basis, &mut rng).expect("reference");
-        for shards in [1usize, 2, 4, 8] {
-            let backend = ShardedStatevector::with_shards(shards);
-            let got = backend.execute(&circuit, basis, &mut rng).expect("sharded");
-            prop_assert_eq!(
-                got.amplitudes(), expect.amplitudes(),
-                "shards = {} on {} qubits", shards, n
-            );
-            backend.recycle(got);
-        }
-        reference.recycle(expect);
-    }
-
-    #[test]
     fn zero_noise_density_matrix_reproduces_statevector_distributions(
         seed in 0u64..1_000_000,
         n in 2usize..4,
@@ -323,7 +285,6 @@ fn remote_loopback_is_bit_identical_for_every_hosted_backend_kind() {
 
     let inners = [
         BackendConfig::Statevector,
-        BackendConfig::Sharded { shards: Some(2) },
         BackendConfig::Noisy {
             depolarizing: 0.05,
             readout_flip: 0.02,
