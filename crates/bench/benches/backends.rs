@@ -106,9 +106,9 @@ fn bench_noise_curve(c: &mut Criterion) {
         .map(|s| GraphInstance::with_seed(&inst.graph, 11 + s))
         .collect();
     let mean_acc = |pl: &Pipeline| {
-        let outs = pl.run_many(&batch).expect("noise batch");
+        let outs = pl.run_many(&batch);
         outs.iter()
-            .map(|o| matched_accuracy(&inst.labels, &o.labels))
+            .map(|o| matched_accuracy(&inst.labels, &o.as_ref().expect("noise batch").labels))
             .sum::<f64>()
             / outs.len() as f64
     };

@@ -138,7 +138,12 @@ fn bench_run_many_8(c: &mut Criterion) {
         })
     });
     group.bench_function("run_many_parallel", |b| {
-        b.iter(|| pl.run_many(black_box(&batch)).expect("run_many"))
+        b.iter(|| {
+            pl.run_many(black_box(&batch))
+                .into_iter()
+                .map(|slot| slot.expect("run_many"))
+                .collect::<Vec<_>>()
+        })
     });
     group.finish();
 }

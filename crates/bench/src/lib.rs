@@ -17,11 +17,12 @@
 //! cargo bench                                                          # micro-benches
 //! ```
 //!
-//! The runner batches repetitions through `Pipeline::run_many_isolated`
-//! (panic-isolated per repetition, failed grid points become explicit
-//! `failed(<kind>)` cells) and routes clusterer-only axes (q-means `δ`)
-//! through `run_many_clusterers_isolated`, so a δ sweep stages each
-//! graph's QPE embedding once. Specs can attach a `"resilience"` block
+//! Sweep grid points and search candidates run their repetitions through
+//! one batch helper over `Pipeline::run_many` (panic-isolated per
+//! repetition, failed grid points become explicit `failed(<kind>)` cells)
+//! and route clusterer-only axes (q-means `δ`) through
+//! `Pipeline::run_many_clusterers`, so a δ sweep stages each graph's QPE
+//! embedding once. Specs can attach a `"resilience"` block
 //! (retries, deadlines, budgets, backend fallbacks, fault injection) —
 //! see `docs/RESILIENCE.md`. Quick-scale output of the spec suite is
 //! pinned bit-identical to the retired hand-written experiment functions

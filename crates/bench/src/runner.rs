@@ -5,14 +5,16 @@
 //!
 //! * grid layouts expand the cartesian product of the axes; stacked
 //!   layouts sweep each axis independently around the defaults,
-//! * repetition batches fan through [`Pipeline::run_many_isolated`]
-//!   (rayon-parallel over instances, results identical to a sequential
-//!   loop; panics and errors are confined to their repetition, so a
-//!   failing grid point becomes an explicit `failed(<kind>)` cell and
-//!   the sweep keeps going — see `docs/RESILIENCE.md`),
+//! * repetition batches — of sweep grid points and search candidates
+//!   alike — run through one helper, `SweepRunner::run_reps`, which fans
+//!   them through [`Pipeline::run_many`] (rayon-parallel over instances,
+//!   results identical to a sequential loop; panics and errors are
+//!   confined to their repetition, so a failing grid point becomes an
+//!   explicit `failed(<kind>)` cell and the sweep keeps going — see
+//!   `docs/RESILIENCE.md`) on the executor fleet when one is set,
 //! * **clusterer-only axes** (q-means `δ`) are routed through
-//!   [`Pipeline::run_many_clusterers_isolated`], so each graph's
-//!   embedding is staged once and re-clustered per point,
+//!   [`Pipeline::run_many_clusterers`], so each graph's embedding is
+//!   staged once and re-clustered per point,
 //! * metrics aggregate through the registry
 //!   ([`qsc_cluster::registry::MetricKind`]) into formatted columns.
 
@@ -40,6 +42,7 @@ use qsc_sim::synthesis::{derived_two_qubit_count, two_level_decompose};
 use qsc_sim::PhaseEstimator;
 use std::cell::OnceCell;
 use std::fmt as stdfmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -114,9 +117,9 @@ pub struct ExperimentOutput {
 
 /// Interprets [`ExperimentSpec`]s at a fixed scale.
 ///
-/// With [`SweepRunner::with_fleet`] the runner fans grid points across a
-/// set of remote executor services round-robin: each point's resolved
-/// backend is wrapped as a remote backend targeting one host, with the
+/// With [`SweepRunner::with_fleet`] the runner fans grid points and search
+/// candidates across a set of remote executor services round-robin: each
+/// repetition batch's resolved backend is wrapped as a remote backend targeting one host, with the
 /// remaining hosts and finally the local backend as the fallback chain —
 /// so an executor dying mid-sweep costs retries, never result cells, and
 /// the produced tables stay byte-identical to a local run.
@@ -352,6 +355,35 @@ impl RunSlot {
     }
 }
 
+/// Failure counts by kind, in first-seen order.
+#[derive(Debug, Default)]
+pub(crate) struct FailureTally(Vec<(FailureKind, usize)>);
+
+impl FailureTally {
+    /// Counts `n` more failures of `kind`.
+    pub(crate) fn add(&mut self, kind: FailureKind, n: usize) {
+        match self.0.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, total)) => *total += n,
+            None => self.0.push((kind, n)),
+        }
+    }
+
+    /// The most frequent kind; ties go to the kind seen first.
+    pub(crate) fn dominant(&self) -> Option<FailureKind> {
+        self.0
+            .iter()
+            .copied()
+            // Strict `>` keeps the earlier kind on ties.
+            .reduce(|best, next| if next.1 > best.1 { next } else { best })
+            .map(|(kind, _)| kind)
+    }
+
+    /// `(kind, count)` pairs in first-seen order.
+    pub(crate) fn counts(&self) -> &[(FailureKind, usize)] {
+        &self.0
+    }
+}
+
 /// Aggregated values of `metric` over a repetition batch's slots: one
 /// value per surviving repetition whose inputs were available. Shared by
 /// the sweep columns and the search engine's objective/cost evaluation.
@@ -418,25 +450,11 @@ impl VariantRuns {
     /// `failed(<kind>)` marker. With mixed kinds the most frequent wins
     /// (ties: earliest repetition).
     fn all_failed_kind(&self, combo: usize) -> Option<FailureKind> {
-        let slots = &self.combos[combo];
-        let mut counts: Vec<(FailureKind, usize)> = Vec::new();
-        for slot in slots {
-            match slot {
-                RunSlot::Ok(_) => return None,
-                RunSlot::Failed(kind) => match counts.iter_mut().find(|(k, _)| k == kind) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((*kind, 1)),
-                },
-            }
+        let mut tally = FailureTally::default();
+        for slot in &self.combos[combo] {
+            tally.add(slot.failure()?, 1);
         }
-        let mut best: Option<(FailureKind, usize)> = None;
-        for &(kind, n) in &counts {
-            // Strict `>` keeps the earliest kind on ties.
-            if best.is_none_or(|(_, m)| n > m) {
-                best = Some((kind, n));
-            }
-        }
-        best.map(|(kind, _)| kind)
+        tally.dominant()
     }
 
     /// `(failed, total)` repetition counts of `combo`.
@@ -587,9 +605,10 @@ impl SweepRunner {
         }
     }
 
-    /// Fans grid points across the given executor addresses (round-robin,
-    /// with the other hosts and then local execution as per-point
-    /// fallbacks). An empty list keeps execution local.
+    /// Fans grid points and search candidates across the given executor
+    /// addresses (round-robin per repetition batch, with the other hosts
+    /// and then local execution as fallbacks). An empty list keeps
+    /// execution local.
     pub fn with_fleet(mut self, hosts: impl IntoIterator<Item = String>) -> Self {
         self.fleet = hosts.into_iter().collect();
         self
@@ -605,8 +624,8 @@ impl SweepRunner {
         self.scale
     }
 
-    /// Wraps one grid point's resolved backend for fleet execution: the
-    /// next host round-robin carries the point, the remaining hosts and
+    /// Wraps one repetition batch's resolved backend for fleet execution:
+    /// the next host round-robin carries the batch, the remaining hosts and
     /// finally the local backend line up as fallbacks ahead of the spec's
     /// own chain. A spec that already targets a remote backend explicitly
     /// is left untouched.
@@ -631,6 +650,77 @@ impl SweepRunner {
         chain.append(&mut policy.fallbacks);
         policy.fallbacks = chain;
         (recipe, policy)
+    }
+
+    /// Runs one repetition batch, the unit both sweep grid points and
+    /// search candidates execute: generates `graph`'s instances for the
+    /// repetitions `reps` under `seeds`, wraps the recipe for the executor
+    /// fleet, and fans the batch through [`Pipeline::run_many`] — or, given
+    /// `deltas`, through [`Pipeline::run_many_clusterers`] with one q-means
+    /// stage per δ over each instance's staged embedding.
+    ///
+    /// Returns the instances and their slots indexed `[combo][rep]` (one
+    /// combo without `deltas`); a failed instance fails every combo.
+    pub(crate) fn run_reps(
+        &self,
+        graph: &GraphSpec,
+        seeds: SeedPolicy,
+        reps: Range<usize>,
+        recipe: &Recipe,
+        policy: &ResiliencePolicy,
+        deltas: Option<&[f64]>,
+    ) -> Result<(Vec<GeneratedInstance>, Vec<Vec<RunSlot>>), BenchError> {
+        let instances: Vec<GeneratedInstance> = reps
+            .clone()
+            .map(|rep| {
+                let mut g = graph.clone();
+                g.set_seed(seeds.graph_seed(rep));
+                g.generate()
+            })
+            .collect::<Result<_, _>>()?;
+        let batch: Vec<GraphInstance> = instances
+            .iter()
+            .zip(reps)
+            .map(|(inst, rep)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
+            .collect();
+        let (exec_recipe, exec_policy) = self.fleet_wrap(recipe, policy);
+        let pl = exec_recipe.build()?.resilience(exec_policy)?;
+        let per_combo: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = match deltas {
+            None => vec![pl
+                .run_many(&batch)
+                .into_iter()
+                .map(|r| r.map_err(|e| e.kind))
+                .collect()],
+            Some(deltas) => {
+                let clusterers: Vec<Arc<dyn Clusterer>> = deltas
+                    .iter()
+                    .map(|&delta| Arc::new(QMeans::new(delta)) as Arc<dyn Clusterer>)
+                    .collect();
+                // `[instance][combo]` → `[combo][rep]` by value — no outcome
+                // (embedding) clones.
+                let mut per_combo = vec![Vec::new(); deltas.len()];
+                for per_instance in pl.run_many_clusterers(&batch, &clusterers) {
+                    match per_instance {
+                        Ok(outs) => {
+                            for (combo, out) in per_combo.iter_mut().zip(outs) {
+                                combo.push(Ok(out));
+                            }
+                        }
+                        Err(err) => {
+                            for combo in per_combo.iter_mut() {
+                                combo.push(Err(err.kind));
+                            }
+                        }
+                    }
+                }
+                per_combo
+            }
+        };
+        let combos = per_combo
+            .into_iter()
+            .map(|outs| to_slots(outs, &instances, recipe))
+            .collect();
+        Ok((instances, combos))
     }
 
     /// Interprets one spec.
@@ -896,70 +986,34 @@ impl SweepRunner {
                 });
                 continue;
             }
-            let instances: Vec<GeneratedInstance> = (0..reps)
-                .map(|rep| {
-                    let mut g = graph.clone();
-                    g.set_seed(seeds.graph_seed(rep));
-                    g.generate()
+            // Inner combos become one q-means stage each, re-clustering
+            // the staged embeddings.
+            let deltas = (!inner_points.is_empty())
+                .then(|| {
+                    inner_points
+                        .iter()
+                        .map(|combo| -> Result<f64, BenchError> {
+                            let mut sub = recipe.clone();
+                            for pt in combo {
+                                for (path, value) in &pt.set {
+                                    sub.apply_path(path, value)?;
+                                }
+                            }
+                            sub.delta.ok_or_else(|| {
+                                spec_err("clusterer sweep point without clusterer.delta")
+                            })
+                        })
+                        .collect::<Result<Vec<f64>, _>>()
                 })
-                .collect::<Result<_, _>>()?;
-            let batch: Vec<GraphInstance> = instances
-                .iter()
-                .enumerate()
-                .map(|(rep, inst)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
-                .collect();
-
-            let (exec_recipe, exec_policy) = self.fleet_wrap(&recipe, &p.resilience);
-            let pl = exec_recipe.build()?.resilience(exec_policy)?;
-            let combos: Vec<Vec<RunSlot>> = if inner_points.is_empty() {
-                let outs = pl.run_many_isolated(&batch);
-                let outs = outs.into_iter().map(|r| r.map_err(|e| e.kind)).collect();
-                vec![to_slots(outs, &instances, &recipe)]
-            } else {
-                // Build one clusterer per inner combo and re-cluster each
-                // staged embedding.
-                let clusterers: Vec<Arc<dyn Clusterer>> = inner_points
-                    .iter()
-                    .map(|combo| -> Result<Arc<dyn Clusterer>, BenchError> {
-                        let mut sub = recipe.clone();
-                        for pt in combo {
-                            for (path, value) in &pt.set {
-                                sub.apply_path(path, value)?;
-                            }
-                        }
-                        let delta = sub.delta.ok_or_else(|| {
-                            spec_err("clusterer sweep point without clusterer.delta")
-                        })?;
-                        Ok(Arc::new(QMeans::new(delta)) as Arc<dyn Clusterer>)
-                    })
-                    .collect::<Result<_, _>>()?;
-                let swept = pl.run_many_clusterers_isolated(&batch, &clusterers);
-                // `swept` is [instance][combo]; transpose by value to
-                // [combo][rep] — no outcome (embedding) clones. A failed
-                // instance (the staging failed) fails every combo.
-                let mut per_combo: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = (0
-                    ..clusterers.len())
-                    .map(|_| Vec::with_capacity(instances.len()))
-                    .collect();
-                for per_instance in swept {
-                    match per_instance {
-                        Ok(outs) => {
-                            for (ci, out) in outs.into_iter().enumerate() {
-                                per_combo[ci].push(Ok(out));
-                            }
-                        }
-                        Err(err) => {
-                            for combo in per_combo.iter_mut() {
-                                combo.push(Err(err.kind));
-                            }
-                        }
-                    }
-                }
-                per_combo
-                    .into_iter()
-                    .map(|outs| to_slots(outs, &instances, &recipe))
-                    .collect()
-            };
+                .transpose()?;
+            let (instances, combos) = self.run_reps(
+                &graph,
+                seeds,
+                0..reps,
+                &recipe,
+                &p.resilience,
+                deltas.as_deref(),
+            )?;
             results.push(VariantRuns {
                 name: variant.name.clone(),
                 k: recipe.k,
@@ -1167,7 +1221,7 @@ impl SweepRunner {
     }
 }
 
-pub(crate) fn to_slots(
+fn to_slots(
     outs: Vec<Result<ClusteringOutcome, FailureKind>>,
     instances: &[GeneratedInstance],
     recipe: &Recipe,

@@ -2,31 +2,27 @@
 //! kind: interprets a [`SearchExperiment`] (space + objective + strategy
 //! from [`qsc_search`]) on top of the sweep engine's recipe machinery.
 //!
-//! Every candidate is a pipeline recipe; repetition batches fan through
-//! `Pipeline::run_many_isolated` exactly like a sweep grid point, so the
-//! per-instance seeding discipline carries over and a search's trial
-//! table is bit-identical at any worker count. Candidates that differ
-//! only in `clusterer.delta` are grouped and routed through
-//! `run_many_clusterers_isolated` — one staged embedding per instance,
-//! re-clustered per candidate. A panicking or failing repetition flows
-//! through the resilience layer's `FailureKind` taxonomy; a candidate
-//! with no surviving repetitions is *pruned* (shown as
-//! `pruned(<kind>)`), never fatal.
+//! Every candidate is a pipeline recipe; its repetition batches run
+//! through the sweep engine's `SweepRunner::run_reps` exactly like a
+//! sweep grid point, so the per-instance seeding discipline and the
+//! executor fleet carry over and a search's trial table is bit-identical
+//! at any worker count. Candidates that differ only in `clusterer.delta`
+//! are grouped into one batch with a δ list — one staged embedding per
+//! instance, re-clustered per candidate. A panicking or failing
+//! repetition flows through the resilience layer's `FailureKind`
+//! taxonomy; a candidate with no surviving repetitions is *pruned* (shown
+//! as `pruned(<kind>)`), never fatal.
 //!
 //! Successive halving evaluates repetitions *incrementally*: rung `r`
 //! only runs the repetition range its predecessors have not, and merges
 //! the objective values — per-repetition seeds derive from the
 //! repetition index, so ranges compose without re-evaluation.
 
-use crate::runner::{
-    slot_metric_values, spec_err, to_slots, BenchError, Recipe, RunSlot, SweepRunner,
-};
-use crate::spec::{ExperimentSpec, SearchExperiment, SeedPolicy};
+use crate::runner::{slot_metric_values, BenchError, FailureTally, Recipe, RunSlot, SweepRunner};
+use crate::spec::{ExperimentSpec, SearchExperiment};
 use qsc_core::report::{fmt, mean, Table};
-use qsc_core::{Clusterer, FailureKind, GraphInstance, QMeans};
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
 use qsc_search::{halving_schedule, select_winner, Candidate, CostAxis, Strategy, TrialScore};
-use std::sync::Arc;
 
 /// One candidate's resolved execution context: workload + recipe with the
 /// candidate's assignments applied.
@@ -45,8 +41,8 @@ struct TrialState {
     values: Vec<f64>,
     /// Cost-metric values of the surviving repetitions (metric cost axes).
     cost_values: Vec<f64>,
-    /// `(kind, count)` of failed repetitions, in first-seen order.
-    failures: Vec<(FailureKind, usize)>,
+    /// Failed repetitions by kind.
+    failures: FailureTally,
     /// Repetitions attempted so far.
     reps_done: usize,
     /// The rung (0-based) this candidate was eliminated after, if any.
@@ -58,7 +54,7 @@ impl TrialState {
         TrialState {
             values: Vec::new(),
             cost_values: Vec::new(),
-            failures: Vec::new(),
+            failures: FailureTally::default(),
             reps_done: 0,
             eliminated_after: None,
         }
@@ -70,24 +66,6 @@ impl TrialState {
             None
         } else {
             Some(mean(&self.values))
-        }
-    }
-
-    /// The most frequent failure kind (ties: first seen).
-    fn dominant_failure(&self) -> Option<FailureKind> {
-        let mut best: Option<(FailureKind, usize)> = None;
-        for &(kind, n) in &self.failures {
-            if best.is_none_or(|(_, m)| n > m) {
-                best = Some((kind, n));
-            }
-        }
-        best.map(|(kind, _)| kind)
-    }
-
-    fn record_failure(&mut self, kind: FailureKind) {
-        match self.failures.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, n)) => *n += 1,
-            None => self.failures.push((kind, 1)),
         }
     }
 
@@ -158,7 +136,7 @@ pub(crate) fn run_search(
     let mut strategy_note = match se.search.strategy {
         Strategy::Grid => {
             let all: Vec<usize> = (0..prepared.len()).collect();
-            evaluate(se, &prepared, &all, 0, full_reps, &mut states)?;
+            evaluate(runner, se, &prepared, &all, 0, full_reps, &mut states)?;
             format!(
                 "strategy: grid — {} candidates × {} reps ({} evaluations)",
                 prepared.len(),
@@ -168,7 +146,7 @@ pub(crate) fn run_search(
         }
         Strategy::Random { seed, trials } => {
             let all: Vec<usize> = (0..prepared.len()).collect();
-            evaluate(se, &prepared, &all, 0, full_reps, &mut states)?;
+            evaluate(runner, se, &prepared, &all, 0, full_reps, &mut states)?;
             format!(
                 "strategy: random — {trials} trials (seed {seed}) × {full_reps} reps \
                  ({} evaluations)",
@@ -203,6 +181,7 @@ pub(crate) fn run_search(
                     active.sort_unstable();
                 }
                 evaluate(
+                    runner,
                     se,
                     &prepared,
                     &active,
@@ -222,13 +201,11 @@ pub(crate) fn run_search(
             )
         }
     };
-    let total_evals: usize = states.iter().map(|st| st.reps_done).sum();
     if let Strategy::SuccessiveHalving { .. } = se.search.strategy {
         strategy_note.push_str(&format!(
             " (vs {} for exhaustive grid)",
             prepared.len() * full_reps
         ));
-        let _ = total_evals;
     }
 
     // Winner: only candidates that were never eliminated compete.
@@ -265,7 +242,7 @@ pub(crate) fn run_search(
                 .map(|l| l.to_string()),
         );
         let status = if st.score().is_none() {
-            match st.dominant_failure() {
+            match st.failures.dominant() {
                 Some(kind) => format!("pruned({})", kind.name()),
                 // Never evaluated: eliminated before its first rung can't
                 // happen (rung 0 covers everyone), so this is unreachable
@@ -317,18 +294,16 @@ pub(crate) fn run_search(
     // Lost repetitions are never silent: a candidate surviving on fewer
     // reps than its peers is a different statistical claim, and the note
     // says exactly how many evaluations the failures ate, by kind.
-    let mut lost_by_kind: Vec<(FailureKind, usize)> = Vec::new();
+    let mut lost_by_kind = FailureTally::default();
     for st in &states {
-        for &(kind, n) in &st.failures {
-            match lost_by_kind.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, total)) => *total += n,
-                None => lost_by_kind.push((kind, n)),
-            }
+        for &(kind, n) in st.failures.counts() {
+            lost_by_kind.add(kind, n);
         }
     }
-    if !lost_by_kind.is_empty() {
-        let lost: usize = lost_by_kind.iter().map(|&(_, n)| n).sum();
+    if !lost_by_kind.counts().is_empty() {
+        let lost: usize = lost_by_kind.counts().iter().map(|&(_, n)| n).sum();
         let detail: Vec<String> = lost_by_kind
+            .counts()
             .iter()
             .map(|(kind, n)| format!("{} ×{n}", kind.name()))
             .collect();
@@ -375,10 +350,10 @@ pub(crate) fn run_search(
 /// `states`.
 ///
 /// Candidates whose workload and recipe agree on everything but
-/// `clusterer.delta` share one batch through
-/// `run_many_clusterers_isolated` (embedding staged once per instance);
-/// everyone else runs its own `run_many_isolated` batch.
+/// `clusterer.delta` share one batch with their δ list (embedding staged
+/// once per instance); everyone else runs its own batch.
 fn evaluate(
+    runner: &SweepRunner,
     se: &SearchExperiment,
     prepared: &[Prepared],
     active: &[usize],
@@ -389,7 +364,6 @@ fn evaluate(
     if rep_lo >= rep_hi {
         return Ok(());
     }
-    let seeds: SeedPolicy = se.seeds;
 
     // Group by the embedding-determining part of the configuration
     // (recipe with the clusterer δ cleared), preserving candidate order.
@@ -409,71 +383,37 @@ fn evaluate(
         }
     }
 
+    let reps = rep_lo..rep_hi;
     for (graph, key_recipe, members) in &groups {
-        let instances: Vec<GeneratedInstance> = (rep_lo..rep_hi)
-            .map(|rep| {
-                let mut g = graph.clone();
-                g.set_seed(seeds.graph_seed(rep));
-                g.generate()
-            })
-            .collect::<Result<_, _>>()?;
-        let batch: Vec<GraphInstance> = instances
+        let deltas: Vec<f64> = members
             .iter()
-            .zip(rep_lo..rep_hi)
-            .map(|(inst, rep)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
+            .filter_map(|&ci| prepared[ci].recipe.delta)
             .collect();
-
-        let shared_embedding = members.len() > 1
-            && members
-                .iter()
-                .all(|&ci| prepared[ci].recipe.delta.is_some());
-        if shared_embedding {
+        if members.len() > 1 && deltas.len() == members.len() {
             // δ-only spread: stage each instance's embedding once and
             // re-cluster it per candidate.
-            let clusterers: Vec<Arc<dyn Clusterer>> = members
-                .iter()
-                .map(|&ci| -> Result<Arc<dyn Clusterer>, BenchError> {
-                    let delta = prepared[ci]
-                        .recipe
-                        .delta
-                        .ok_or_else(|| spec_err("search: shared-embedding candidate without δ"))?;
-                    Ok(Arc::new(QMeans::new(delta)) as Arc<dyn Clusterer>)
-                })
-                .collect::<Result<_, _>>()?;
-            let pl = key_recipe.build()?.resilience(se.resilience.clone())?;
-            let swept = pl.run_many_clusterers_isolated(&batch, &clusterers);
-            // `swept` is [instance][candidate]; transpose to
-            // [candidate][rep]. A failed staging fails every candidate.
-            let mut per_member: Vec<Vec<Result<qsc_core::ClusteringOutcome, FailureKind>>> =
-                members.iter().map(|_| Vec::new()).collect();
-            for per_instance in swept {
-                match per_instance {
-                    Ok(outs) => {
-                        for (mi, out) in outs.into_iter().enumerate() {
-                            per_member[mi].push(Ok(out));
-                        }
-                    }
-                    Err(err) => {
-                        for member in per_member.iter_mut() {
-                            member.push(Err(err.kind));
-                        }
-                    }
-                }
-            }
-            for (&ci, outs) in members.iter().zip(per_member) {
-                let slots = to_slots(outs, &instances, &prepared[ci].recipe);
-                accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
+            let (instances, combos) = runner.run_reps(
+                graph,
+                se.seeds,
+                reps.clone(),
+                key_recipe,
+                &se.resilience,
+                Some(&deltas),
+            )?;
+            for (&ci, slots) in members.iter().zip(&combos) {
+                accumulate(&mut states[ci], slots, &instances, &prepared[ci], se);
             }
         } else {
             for &ci in members {
-                let pl = prepared[ci]
-                    .recipe
-                    .build()?
-                    .resilience(se.resilience.clone())?;
-                let outs = pl.run_many_isolated(&batch);
-                let outs = outs.into_iter().map(|r| r.map_err(|e| e.kind)).collect();
-                let slots = to_slots(outs, &instances, &prepared[ci].recipe);
-                accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
+                let (instances, combos) = runner.run_reps(
+                    graph,
+                    se.seeds,
+                    reps.clone(),
+                    &prepared[ci].recipe,
+                    &se.resilience,
+                    None,
+                )?;
+                accumulate(&mut states[ci], &combos[0], &instances, &prepared[ci], se);
             }
         }
     }
@@ -502,7 +442,7 @@ fn accumulate(
     }
     for slot in slots {
         if let Some(kind) = slot.failure() {
-            state.record_failure(kind);
+            state.failures.add(kind, 1);
         }
     }
     state.reps_done += slots.len();

@@ -1,6 +1,6 @@
 //! The composable staged pipeline: graph → Hermitian Laplacian → spectral
-//! embedding → clustering, with every stage swappable and a rayon-parallel
-//! batch runner.
+//! embedding → clustering, with every stage swappable and a rayon-parallel,
+//! fault-isolated batch runner.
 //!
 //! A [`Pipeline`] is built with the fluent builder and owns Laplacian
 //! construction plus stage sequencing; the embedding stage is any
@@ -24,7 +24,8 @@
 //! [`Pipeline::run_many_clusterers`]) fan instances out over the rayon
 //! worker pool; every instance is computed independently from its own seed,
 //! so batched results are identical to a sequential loop regardless of the
-//! worker count.
+//! worker count. Both return a [`BatchOutcome`]: one `Result` per instance,
+//! so a failing or panicking instance never aborts its batch.
 //!
 //! # Examples
 //!
@@ -219,8 +220,9 @@ pub struct StagedEmbedding {
 ///     .enumerate()
 ///     .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
 ///     .collect();
-/// let outs = Pipeline::hermitian(2).run_many(&batch)?;
+/// let outs = Pipeline::hermitian(2).run_many(&batch);
 /// assert_eq!(outs.len(), 3);
+/// assert!(outs.iter().all(Result::is_ok));
 /// # Ok(())
 /// # }
 /// ```
@@ -407,12 +409,11 @@ impl Pipeline {
     /// chain, and (for chaos testing) a deterministic fault-injection
     /// plan.
     ///
-    /// The policy only drives the **isolated** batch runners
-    /// ([`Pipeline::run_many_isolated`] /
-    /// [`Pipeline::run_many_clusterers_isolated`]), plus the
-    /// `state_budget_bytes` cap which every quantum stage honors through
-    /// [`StageContext`]. The plain runners ([`Pipeline::run`],
-    /// [`Pipeline::run_many`]) behave exactly as without a policy.
+    /// The policy drives the batch runners ([`Pipeline::run_many`] /
+    /// [`Pipeline::run_many_clusterers`]), plus the `state_budget_bytes`
+    /// cap which every quantum stage honors through [`StageContext`].
+    /// The single-graph [`Pipeline::run`] behaves exactly as without a
+    /// policy.
     ///
     /// Fallback backends are built eagerly here, so a malformed fallback
     /// config fails at build time, not mid-sweep.
@@ -619,82 +620,15 @@ impl Pipeline {
         self.run_seeded(g, self.seed)
     }
 
-    /// Runs the pipeline on a batch of graphs, rayon-parallel over
-    /// instances. Results are in instance order and — because every
-    /// instance is computed independently from its own seed over
-    /// thread-count-independent kernels — identical to a sequential
-    /// [`Pipeline::run`] loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first instance error in batch order, if any.
-    pub fn run_many(
-        &self,
-        instances: &[GraphInstance<'_>],
-    ) -> Result<Vec<ClusteringOutcome>, Error> {
-        // Ordered parallel collection via an indexed slot vector: the rayon
-        // compat shim only exposes the par_chunks(_mut) surface (no
-        // par_iter), and this shape is also valid under real rayon, keeping
-        // the planned shim→rayon swap a pure dependency change.
-        let mut slots: Vec<Option<Result<ClusteringOutcome, Error>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            slot[0] = Some(self.run_seeded(inst.graph, inst.seed.unwrap_or(self.seed)));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
-    }
-
-    /// Batch runner for clusterer sweeps: every instance's Laplacian and
-    /// embedding are computed **once**, then re-clustered with each stage
-    /// in `clusterers`. Parallel over instances; the result is indexed
-    /// `[instance][clusterer]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error in `(instance, clusterer)` order, if any.
-    pub fn run_many_clusterers(
-        &self,
-        instances: &[GraphInstance<'_>],
-        clusterers: &[Arc<dyn Clusterer>],
-    ) -> Result<Vec<Vec<ClusteringOutcome>>, Error> {
-        let mut slots: Vec<Option<Result<Vec<ClusteringOutcome>, Error>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            let per_instance = self.embed_seeded(inst.graph, seed).and_then(|staged| {
-                clusterers
-                    .iter()
-                    .map(|c| {
-                        self.clone()
-                            .clusterer_arc(c.clone())
-                            .cluster_seeded(&staged, seed)
-                    })
-                    .collect()
-            });
-            slot[0] = Some(per_instance);
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
-    }
-
     fn clusterer_arc(mut self, clusterer: Arc<dyn Clusterer>) -> Self {
         self.clusterer = clusterer;
         self
     }
 
-    // --- Fault-isolated execution (see docs/RESILIENCE.md) ---------------
+    // --- Fault-isolated batch execution (see docs/RESILIENCE.md) ---------
 
     /// Seed of retry attempt `attempt` (attempt 0 keeps the original seed,
-    /// so a first-try success is bit-identical to the plain runners).
+    /// so a first-try success is bit-identical to [`Pipeline::run`]).
     fn attempt_seed(seed: u64, attempt: usize) -> u64 {
         seed.wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
@@ -829,24 +763,24 @@ impl Pipeline {
         }
     }
 
-    /// Fault-isolated batch runner: like [`Pipeline::run_many`], but a
-    /// failing instance — typed error *or panic* — becomes its own
-    /// [`InstanceError`] entry instead of failing (or poisoning) the whole
-    /// batch, and the attached [`ResiliencePolicy`] grants retries,
-    /// deadlines and backend fallbacks per instance.
-    ///
-    /// When nothing fails the outcomes are bit-identical to
-    /// [`Pipeline::run_many`] (attempt 0 uses the unperturbed seed).
-    pub fn run_many_isolated(
+    /// Fills one slot per instance, rayon-parallel and in instance order:
+    /// each instance runs `work` on its graph under [`Pipeline::guarded`]
+    /// with its effective seed.
+    fn run_batch<T: Send>(
         &self,
         instances: &[GraphInstance<'_>],
-    ) -> BatchOutcome<ClusteringOutcome> {
-        let mut slots: Vec<Option<Result<ClusteringOutcome, InstanceError>>> =
+        work: &(dyn Fn(&Pipeline, &MixedGraph, u64) -> Result<T, Error> + Sync),
+    ) -> BatchOutcome<T> {
+        // Ordered parallel collection via an indexed slot vector: the rayon
+        // compat shim only exposes the par_chunks(_mut) surface (no
+        // par_iter), and this shape is also valid under real rayon, keeping
+        // the planned shim→rayon swap a pure dependency change.
+        let mut slots: Vec<Option<Result<T, InstanceError>>> =
             (0..instances.len()).map(|_| None).collect();
         slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
             let inst = &instances[i];
             let seed = inst.seed.unwrap_or(self.seed);
-            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| pl.run_seeded(inst.graph, s)));
+            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| work(pl, inst.graph, s)));
         });
         slots
             .into_iter()
@@ -855,37 +789,48 @@ impl Pipeline {
             .collect()
     }
 
-    /// Fault-isolated counterpart of [`Pipeline::run_many_clusterers`]:
-    /// each instance's staged embedding plus *all* its clusterer variants
-    /// run under one guard, so a failure anywhere marks that instance
-    /// failed (the variants share the embedding, hence its fate).
-    pub fn run_many_clusterers_isolated(
+    /// Runs the pipeline on a batch of graphs, rayon-parallel over
+    /// instances. Results are in instance order and — because every
+    /// instance is computed independently from its own seed over
+    /// thread-count-independent kernels — identical to a sequential
+    /// [`Pipeline::run`] loop.
+    ///
+    /// The batch is fault-isolated: a failing instance — typed error *or
+    /// panic* — becomes its own [`InstanceError`] entry instead of failing
+    /// (or poisoning) the whole batch, and the attached
+    /// [`ResiliencePolicy`] grants retries, deadlines and backend
+    /// fallbacks per instance. Attempt 0 uses the unperturbed seed, so a
+    /// first-try success equals [`Pipeline::run`] under the instance's
+    /// seed bit for bit.
+    pub fn run_many(&self, instances: &[GraphInstance<'_>]) -> BatchOutcome<ClusteringOutcome> {
+        self.run_batch(instances, &|pl, g, s| pl.run_seeded(g, s))
+    }
+
+    /// Batch runner for clusterer sweeps: every instance's Laplacian and
+    /// embedding are computed **once**, then re-clustered with each stage
+    /// in `clusterers`. Parallel over instances; the result is indexed
+    /// `[instance][clusterer]`.
+    ///
+    /// Fault isolation as in [`Pipeline::run_many`]: each instance's staged
+    /// embedding plus *all* its clusterer variants run under one guard, so
+    /// a failure anywhere marks that instance failed (the variants share
+    /// the embedding, hence its fate).
+    pub fn run_many_clusterers(
         &self,
         instances: &[GraphInstance<'_>],
         clusterers: &[Arc<dyn Clusterer>],
     ) -> BatchOutcome<Vec<ClusteringOutcome>> {
-        let mut slots: Vec<Option<Result<Vec<ClusteringOutcome>, InstanceError>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| {
-                let staged = pl.embed_seeded(inst.graph, s)?;
-                clusterers
-                    .iter()
-                    .map(|c| {
-                        pl.clone()
-                            .clusterer_arc(c.clone())
-                            .cluster_seeded(&staged, s)
-                    })
-                    .collect()
-            }));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
+        self.run_batch(instances, &|pl, g, s| {
+            let staged = pl.embed_seeded(g, s)?;
+            clusterers
+                .iter()
+                .map(|c| {
+                    pl.clone()
+                        .clusterer_arc(c.clone())
+                        .cluster_seeded(&staged, s)
+                })
+                .collect()
+        })
     }
 }
 
@@ -974,11 +919,12 @@ mod tests {
             .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
             .collect();
         let pl = Pipeline::hermitian(3);
-        let batched = pl.run_many(&batch).unwrap();
+        let batched = pl.run_many(&batch);
         for (i, inst) in graphs.iter().enumerate() {
             let single = pl.clone().seed(i as u64).run(&inst.graph).unwrap();
-            assert_eq!(batched[i].labels, single.labels);
-            assert_eq!(batched[i].spectrum, single.spectrum);
+            let out = batched[i].as_ref().unwrap();
+            assert_eq!(out.labels, single.labels);
+            assert_eq!(out.spectrum, single.spectrum);
         }
     }
 
@@ -994,7 +940,11 @@ mod tests {
             .quantum(&QuantumParams::default());
         let deltas: Vec<Arc<dyn Clusterer>> =
             vec![Arc::new(QMeans::new(0.05)), Arc::new(QMeans::new(0.5))];
-        let outs = pl.run_many_clusterers(&batch, &deltas).unwrap();
+        let outs: Vec<Vec<ClusteringOutcome>> = pl
+            .run_many_clusterers(&batch, &deltas)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(outs.len(), 2);
         for per_instance in &outs {
             assert_eq!(per_instance.len(), 2);

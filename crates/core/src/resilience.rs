@@ -3,15 +3,14 @@
 //! deadlines, memory budgets, backend fallback chains and deterministic
 //! fault injection.
 //!
-//! The policy is consumed by the isolated batch runners
-//! ([`Pipeline::run_many_isolated`](crate::Pipeline::run_many_isolated) and
-//! [`Pipeline::run_many_clusterers_isolated`](crate::Pipeline::run_many_clusterers_isolated)),
+//! The policy is consumed by the batch runners
+//! ([`Pipeline::run_many`](crate::Pipeline::run_many) and
+//! [`Pipeline::run_many_clusterers`](crate::Pipeline::run_many_clusterers)),
 //! which catch per-instance panics on the worker pool and convert every
 //! failure — panic or typed error — into an [`InstanceError`] instead of
-//! poisoning the whole batch. The plain runners
-//! ([`Pipeline::run`](crate::Pipeline::run),
-//! [`Pipeline::run_many`](crate::Pipeline::run_many)) are untouched by the
-//! policy: same results, same error propagation, bit for bit.
+//! poisoning the whole batch. The single-graph
+//! [`Pipeline::run`](crate::Pipeline::run) is untouched by the policy:
+//! same results, same error propagation, bit for bit.
 //!
 //! Policies serialize through `qsc-json` as the spec-file `"resilience"`
 //! block (see `docs/RESILIENCE.md` for the schema and a worked example):
@@ -34,7 +33,7 @@ use qsc_linalg::LinalgError;
 use qsc_sim::SimError;
 use std::fmt;
 
-/// Per-instance results of an isolated batch run: each instance is either
+/// Per-instance results of a batch run: each instance is either
 /// its outcome or the typed failure that exhausted the resilience policy.
 /// Instance order matches the input batch.
 pub type BatchOutcome<T> = Vec<Result<T, InstanceError>>;

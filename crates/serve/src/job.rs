@@ -204,7 +204,8 @@ struct Shared {
     available: Condvar,
     shutdown: AtomicBool,
     cache: ResultCache,
-    /// Executor fleet the workers fan grid points across; empty = local.
+    /// Executor fleet the workers fan grid points and search candidates
+    /// across; empty = local.
     executors: Vec<String>,
 }
 
@@ -220,15 +221,11 @@ pub struct JobSystem {
 impl JobSystem {
     /// Starts `workers` pool threads over a bounded queue of
     /// `queue_capacity` pending jobs. Zero workers is legal (useful to
-    /// test backpressure: nothing ever drains).
-    pub fn start(cache: ResultCache, workers: usize, queue_capacity: usize) -> Arc<JobSystem> {
-        JobSystem::start_with_fleet(cache, workers, queue_capacity, Vec::new())
-    }
-
-    /// [`JobSystem::start`], with sweeps fanning their grid points across
-    /// the `executors` fleet (`host:port` addresses, round-robin with
-    /// retry-elsewhere). An empty fleet runs sweeps locally.
-    pub fn start_with_fleet(
+    /// test backpressure: nothing ever drains). Sweeps fan their grid
+    /// points and search candidates across the `executors` fleet
+    /// (`host:port` addresses, round-robin with retry-elsewhere); an empty
+    /// fleet runs them locally.
+    pub fn start(
         cache: ResultCache,
         workers: usize,
         queue_capacity: usize,

@@ -21,7 +21,8 @@ options:
   --backend JSON     default backend hosted by POST /v1/exec
                      (default \"statevector\"; remote is not hostable)
   --executors LIST   comma-separated executor addresses sweeps fan grid
-                     points across (default empty: sweeps run locally)
+                     points and search candidates across (default empty:
+                     sweeps run locally)
   --help             this text
 ";
 

@@ -41,8 +41,9 @@ pub struct ServeConfig {
     /// Default backend hosted by `POST /v1/exec` for requests without a
     /// `backend` field (requests carrying one override it per call).
     pub backend: BackendConfig,
-    /// Executor fleet the sweep workers fan grid points across
-    /// (round-robin with retry-elsewhere); empty = run sweeps locally.
+    /// Executor fleet the sweep workers fan grid points and search
+    /// candidates across (round-robin with retry-elsewhere); empty = run
+    /// sweeps locally.
     pub executors: Vec<String>,
 }
 
@@ -100,7 +101,7 @@ impl Server {
         let cache = ResultCache::open(&config.cache_dir).map_err(ServeError::Cache)?;
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Io)?;
         let local_addr = listener.local_addr().map_err(ServeError::Io)?;
-        let jobs = JobSystem::start_with_fleet(
+        let jobs = JobSystem::start(
             cache,
             config.workers,
             config.queue_capacity,

@@ -440,8 +440,9 @@ fn search_spec_json() -> String {
     .to_string()
 }
 
-/// Pulls one counter out of the healthz `"cache"` object.
-fn cache_stat(base: &str, field: &str) -> u64 {
+/// Pulls one counter out of the healthz body (counter names are unique
+/// across its `"cache"` and `"exec"` objects).
+fn health_stat(base: &str, field: &str) -> u64 {
     let health = http_request(base, "GET", "/v1/healthz", None).expect("healthz");
     assert_eq!(health.status, 200);
     let needle = format!("\"{field}\":");
@@ -511,7 +512,7 @@ fn search_endpoint_round_trips_with_cache_and_kind_gating() {
     let local_csv = local.primary.render(SinkFormat::Csv);
 
     // First submission misses and executes; the winner is in the notes.
-    let hits_before = cache_stat(&base, "hits");
+    let hits_before = health_stat(&base, "hits");
     let ticket = submit_to(&base, Endpoint::Searches, &text, "quick", TIMEOUT).expect("submit");
     assert_eq!(ticket.cache, "miss");
     wait_done(&base, &ticket.id, TIMEOUT).expect("search runs to done");
@@ -535,11 +536,58 @@ fn search_endpoint_round_trips_with_cache_and_kind_gating() {
     assert_eq!(again.cache, "hit", "identical search must hit the cache");
     assert_eq!(again.key, ticket.key);
     assert!(
-        cache_stat(&base, "hits") > hits_before,
+        health_stat(&base, "hits") > hits_before,
         "healthz hit counter must move on a cache hit"
     );
-    assert!(cache_stat(&base, "entries") >= 1);
-    assert!(cache_stat(&base, "misses") >= 1);
+    assert!(health_stat(&base, "entries") >= 1);
+    assert!(health_stat(&base, "misses") >= 1);
+}
+
+/// Search candidates fan across the executor fleet like sweep grid
+/// points: a δ search (one staged QPE embedding per instance, re-clustered
+/// per candidate) runs its circuits on the executor and renders the same
+/// trial table as a local run.
+#[test]
+fn search_specs_honour_the_executor_fleet() {
+    let exec = start("search-fleet-exec", 0, 4);
+    let base = exec.base_url();
+    let addr = exec.local_addr().to_string();
+    let text = r#"{
+  "name": "svc_search_fleet",
+  "title": "fleet search test",
+  "kind": "search",
+  "graph": {"family": "dsbm", "n": 16, "k": 2, "p_intra": 0.4, "p_inter": 0.05},
+  "reps": 2,
+  "base": {"k": 2, "quantum": {}},
+  "search": {
+    "space": [{"path": "clusterer.delta", "values": [0.05, 0.5]}],
+    "objective": {"metric": "matched_accuracy", "goal": "maximize"},
+    "strategy": {"kind": "grid"}
+  }
+}"#;
+    let spec = ExperimentSpec::parse(text).expect("spec parses");
+    let local_csv = SweepRunner::new(Scale::Quick)
+        .run(&spec)
+        .expect("local run")
+        .primary
+        .render(SinkFormat::Csv);
+    assert!(local_csv.contains("winner"), "{local_csv}");
+    assert_eq!(health_stat(&base, "executed"), 0);
+
+    let fleet_csv = SweepRunner::new(Scale::Quick)
+        .with_fleet([addr])
+        .run(&spec)
+        .expect("fleet run")
+        .primary
+        .render(SinkFormat::Csv);
+    assert_eq!(
+        fleet_csv, local_csv,
+        "fleet search must be byte-identical to the local run"
+    );
+    assert!(
+        health_stat(&base, "executed") > 0,
+        "the search never reached the executor"
+    );
 }
 
 #[test]

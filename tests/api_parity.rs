@@ -11,9 +11,10 @@
 //!   kernels as before),
 //! * the serializable `BackendConfig` route (`Pipeline::backend_config`)
 //!   reproduces the equivalent builder recipe exactly,
-//! * the rayon-parallel `run_many` batch runner — now on the persistent
-//!   worker pool, with backends shared across instances — remains
-//!   indistinguishable from a sequential loop under a multi-threaded pool.
+//! * the rayon-parallel, fault-isolated `run_many` batch runner — on the
+//!   persistent worker pool, with backends shared across instances —
+//!   remains indistinguishable from a sequential loop under a
+//!   multi-threaded pool (every slot `Ok`, each equal to its `run`).
 //!
 //! The worker count is pinned to 4 before any pipeline runs (same
 //! mechanism as `parallel_kernels.rs`), so the batch runner actually
@@ -221,9 +222,10 @@ fn run_many_is_deterministic_under_four_workers() {
 
     // The parallel batch must agree exactly, run after run.
     for round in 0..2 {
-        let batched = pl.run_many(&batch).expect("run_many");
+        let batched = pl.run_many(&batch);
         assert_eq!(batched.len(), sequential.len());
         for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
+            let b = b.as_ref().expect("run_many slot");
             assert_outcomes_identical(b, s, &format!("round {round}, instance {i}"));
         }
     }
@@ -245,7 +247,7 @@ fn run_many_shares_one_backend_pool_across_instances() {
     let pl = Pipeline::hermitian(3)
         .quantum(&QuantumParams::default())
         .backend_shared(backend);
-    let batched = pl.run_many(&batch).expect("run_many");
+    let batched = pl.run_many(&batch);
     for (i, inst) in batch.iter().enumerate() {
         let single = pl
             .clone()
@@ -253,7 +255,7 @@ fn run_many_shares_one_backend_pool_across_instances() {
             .run(inst.graph)
             .expect("single");
         assert_outcomes_identical(
-            &batched[i],
+            batched[i].as_ref().expect("run_many slot"),
             &single,
             &format!("shared backend, instance {i}"),
         );
@@ -276,8 +278,9 @@ fn run_many_clusterers_matches_independent_full_runs() {
         .iter()
         .map(|&d| Arc::new(QMeans::new(d)) as Arc<dyn Clusterer>)
         .collect();
-    let swept = pl.run_many_clusterers(&batch, &clusterers).expect("sweep");
+    let swept = pl.run_many_clusterers(&batch, &clusterers);
     for (i, per_instance) in swept.iter().enumerate() {
+        let per_instance = per_instance.as_ref().expect("sweep slot");
         for (j, &delta) in deltas.iter().enumerate() {
             let full = pl
                 .clone()

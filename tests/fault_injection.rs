@@ -43,28 +43,6 @@ fn attempt_seed(seed: u64, attempt: u64) -> u64 {
 }
 
 #[test]
-fn isolated_runner_matches_plain_runner_without_faults() {
-    let insts: Vec<PlantedGraph> = (0..4).map(|i| flow_instance(40, 10 + i)).collect();
-    let batch: Vec<GraphInstance<'_>> = insts
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
-        .collect();
-    let pl = Pipeline::hermitian(2).seed(3);
-    let plain = pl.run_many(&batch).expect("plain batch");
-    let isolated = pl.run_many_isolated(&batch);
-    assert_eq!(isolated.len(), plain.len());
-    for (iso, exp) in isolated.iter().zip(&plain) {
-        let out = iso.as_ref().expect("no faults injected");
-        assert_eq!(
-            timeless(out),
-            timeless(exp),
-            "isolated runner must be bit-identical"
-        );
-    }
-}
-
-#[test]
 fn injected_panics_are_isolated_and_deterministic() {
     let plan = FaultPlan::seeded(7).with_rate(FaultPoint::TaskStart, 0.5);
     let insts: Vec<PlantedGraph> = (0..8).map(|i| flow_instance(30, 20 + i)).collect();
@@ -91,7 +69,7 @@ fn injected_panics_are_isolated_and_deterministic() {
         "plan seed must mix failures and survivors for this test"
     );
 
-    let first = pl.run_many_isolated(&batch);
+    let first = pl.run_many(&batch);
     for (slot, &fails) in first.iter().zip(&expected) {
         match slot {
             Ok(_) => assert!(!fails, "survivor where the plan decides a panic"),
@@ -105,8 +83,8 @@ fn injected_panics_are_isolated_and_deterministic() {
     }
 
     // Same plan, same batch → byte-identical reports; and the worker pool
-    // survived the panics (a plain batch still runs afterwards).
-    let second = pl.run_many_isolated(&batch);
+    // survived the panics (a fault-free batch still runs afterwards).
+    let second = pl.run_many(&batch);
     for (a, b) in first.iter().zip(&second) {
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(timeless(x), timeless(y)),
@@ -114,11 +92,12 @@ fn injected_panics_are_isolated_and_deterministic() {
             _ => panic!("run-to-run failure pattern diverged"),
         }
     }
-    let plain = Pipeline::hermitian(2)
-        .seed(3)
-        .run_many(&batch)
-        .expect("pool usable after isolated panics");
+    let plain = Pipeline::hermitian(2).seed(3).run_many(&batch);
     assert_eq!(plain.len(), batch.len());
+    assert!(
+        plain.iter().all(Result::is_ok),
+        "pool usable after isolated panics"
+    );
 }
 
 #[test]
@@ -141,7 +120,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = fail_fast.run_many_isolated(&batch)[0]
+    let err = fail_fast.run_many(&batch)[0]
         .as_ref()
         .expect_err("no retries → the injected panic is final")
         .clone();
@@ -154,7 +133,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = with_retry.run_many_isolated(&batch);
+    let out = with_retry.run_many(&batch);
     assert!(
         out[0].is_ok(),
         "retry with perturbed seed must survive: {:?}",
@@ -174,7 +153,7 @@ fn lanczos_iteration_fault_reports_non_convergence() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = pl.run_many(&batch)[0]
         .as_ref()
         .expect_err("every Lanczos iteration is sabotaged")
         .clone();
@@ -193,7 +172,7 @@ fn policy_budget_fails_quantum_stage_with_budget_kind() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = pl.run_many(&batch)[0]
         .as_ref()
         .expect_err("512-byte budget cannot hold a phase register")
         .clone();
@@ -226,7 +205,7 @@ fn budget_failure_degrades_through_fallback_chain() {
         .expect("backend")
         .resilience(ResiliencePolicy::default())
         .expect("policy");
-    let err = no_fallback.run_many_isolated(&batch)[0]
+    let err = no_fallback.run_many(&batch)[0]
         .as_ref()
         .expect_err("no fallbacks → the budget failure is final")
         .clone();
@@ -244,7 +223,7 @@ fn budget_failure_degrades_through_fallback_chain() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = degraded.run_many_isolated(&batch);
+    let out = degraded.run_many(&batch);
     assert!(
         out[0].is_ok(),
         "fallback to statevector must succeed: {:?}",
@@ -264,7 +243,7 @@ fn invalid_requests_fail_immediately_without_retries() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = pl.run_many(&batch)[0]
         .as_ref()
         .expect_err("k = 0 is invalid")
         .clone();
@@ -309,7 +288,7 @@ fn remote_call_drops_classify_as_transport_errors() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = pl.run_many(&batch)[0]
         .as_ref()
         .expect_err("every remote call drops and there is no fallback")
         .clone();
@@ -344,7 +323,9 @@ fn remote_drops_fall_back_to_local_without_perturbing_the_seed() {
     let expected = Pipeline::hermitian(2)
         .quantum(&qp)
         .run_many(&batch)
-        .expect("local ground truth");
+        .into_iter()
+        .map(|slot| slot.expect("local ground truth"))
+        .collect::<Vec<_>>();
     let remote = Pipeline::hermitian(2)
         .quantum(&qp)
         .backend_config(&remote_config("127.0.0.1:1"))
@@ -355,7 +336,7 @@ fn remote_drops_fall_back_to_local_without_perturbing_the_seed() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = remote.run_many_isolated(&batch);
+    let out = remote.run_many(&batch);
     for (got, exp) in out.iter().zip(&expected) {
         let got = got.as_ref().expect("the fallback chain must engage");
         assert_eq!(
@@ -395,7 +376,9 @@ fn remote_fault_pattern_is_worker_count_invariant() {
     let expected = Pipeline::hermitian(2)
         .quantum(&qp)
         .run_many(&batch)
-        .expect("local ground truth");
+        .into_iter()
+        .map(|slot| slot.expect("local ground truth"))
+        .collect::<Vec<_>>();
     let remote = Pipeline::hermitian(2)
         .quantum(&qp)
         .backend_config(&remote_config(&addr))
@@ -407,8 +390,8 @@ fn remote_fault_pattern_is_worker_count_invariant() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let first = remote.run_many_isolated(&batch);
-    let second = remote.run_many_isolated(&batch);
+    let first = remote.run_many(&batch);
+    let second = remote.run_many(&batch);
     for ((a, b), exp) in first.iter().zip(&second).zip(&expected) {
         let a = a.as_ref().expect("fallback covers every injected drop");
         let b = b.as_ref().expect("fallback covers every injected drop");
@@ -418,31 +401,5 @@ fn remote_fault_pattern_is_worker_count_invariant() {
             timeless(exp),
             "remote/fallback mix must equal the local run bit for bit"
         );
-    }
-}
-
-#[test]
-fn clusterer_sweep_isolation_matches_plain_sweep() {
-    use qsc_suite::core::{Clusterer, KMeans};
-    use std::sync::Arc;
-
-    let insts: Vec<PlantedGraph> = (0..3).map(|i| flow_instance(30, 40 + i)).collect();
-    let batch: Vec<GraphInstance<'_>> = insts
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
-        .collect();
-    let clusterers: Vec<Arc<dyn Clusterer>> = vec![Arc::new(KMeans), Arc::new(KMeans)];
-    let pl = Pipeline::hermitian(2).seed(9);
-    let plain = pl
-        .run_many_clusterers(&batch, &clusterers)
-        .expect("plain sweep");
-    let isolated = pl.run_many_clusterers_isolated(&batch, &clusterers);
-    for (iso, exp) in isolated.iter().zip(&plain) {
-        let iso = iso.as_ref().expect("no faults injected");
-        assert_eq!(iso.len(), exp.len());
-        for (a, b) in iso.iter().zip(exp) {
-            assert_eq!(timeless(a), timeless(b));
-        }
     }
 }
