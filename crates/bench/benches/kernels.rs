@@ -16,6 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qsc_core::{GraphInstance, Pipeline};
 use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, MetaGraph, RandomMixedParams};
 use qsc_graph::{normalized_hermitian_laplacian_csr, Q_CLASSICAL};
+use qsc_linalg::eig::{eigh, tql_implicit, tridiagonalize};
 use qsc_linalg::lanczos::{lanczos_lowest_k, lanczos_lowest_k_csr};
 use qsc_linalg::{CMatrix, Complex64};
 use qsc_sim::qpe::{qpe_gate_level, qpe_gate_level_repeated_squaring};
@@ -96,6 +97,43 @@ fn bench_lanczos_2000(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dense Hermitian eigensolver on one 400-vertex flow-DSBM Laplacian
+/// shaped like the classical benchmark's instances, whole and split into
+/// its two stages: the Householder reduction with Q accumulation, and the
+/// QL iteration (from a cloned reduction, so every sample does the same
+/// work).
+fn bench_eigh_400(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eigh400");
+    group.sample_size(10);
+    let inst = dsbm(&DsbmParams {
+        n: 400,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        meta: MetaGraph::Cycle,
+        seed: 4,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm");
+    let lap = normalized_hermitian_laplacian_csr(&inst.graph, Q_CLASSICAL).to_dense();
+    group.bench_function("eigh", |bch| {
+        bch.iter(|| eigh(black_box(&lap)).expect("eigh"))
+    });
+    group.bench_function("tridiagonalize", |bch| {
+        bch.iter(|| tridiagonalize(black_box(&lap)))
+    });
+    let tri = tridiagonalize(&lap);
+    group.bench_function("tql_implicit", |bch| {
+        bch.iter(|| {
+            let mut t = tri.clone();
+            tql_implicit(&mut t.d, &mut t.e, &mut t.q).expect("tql");
+            t
+        })
+    });
+    group.finish();
+}
+
 /// End-to-end batch runner: an 8-instance flow-DSBM batch through the full
 /// classical pipeline, as one sequential loop vs one rayon-parallel
 /// `run_many` call. Results are identical by construction (per-instance
@@ -153,6 +191,7 @@ criterion_group!(
     bench_matmul_512,
     bench_qpe_12_qubits,
     bench_lanczos_2000,
+    bench_eigh_400,
     bench_run_many_8
 );
 criterion_main!(kernels);

@@ -60,7 +60,7 @@ use qsc_sim::backend::{Backend, Statevector};
 use qsc_sim::SimError;
 use rayon::prelude::*;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -651,7 +651,10 @@ impl Pipeline {
         match self.resilience.fault_plan {
             Some(plan) if plan.is_active() => qsc_fault::scope(plan, seed, || {
                 if qsc_fault::should_fire(qsc_fault::FaultPoint::TaskStart) {
-                    panic!("injected fault at task_start");
+                    // Unwinds like `panic!` with the same `&str` payload,
+                    // but skips the panic hook: an injected, recorded
+                    // failure prints no crash report or backtrace.
+                    resume_unwind(Box::new("injected fault at task_start"));
                 }
                 work(self, seed)
             }),

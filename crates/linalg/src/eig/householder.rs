@@ -1,10 +1,33 @@
 //! Householder reduction of a Hermitian matrix to real symmetric tridiagonal
 //! form (the unblocked LAPACK `zhetd2` algorithm), plus accumulation of the
 //! unitary similarity `Q` so that `A = Q · T · Q†`.
+//!
+//! # Loop layout
+//!
+//! Every loop walks the row-major matrices along rows, so the inner loops
+//! read and write contiguous memory:
+//!
+//! * **Reduction.** Each entry of `p = τ·A·v` is one ordered
+//!   [`kernels::dot`] of a trailing row against `v`, and the rank-2 update
+//!   `A ← A − v·w† − w·v†` is one [`kernels::rank2`] per trailing row,
+//!   with `conj(w)` and `conj(v)` computed once per reflector.
+//! * **Q accumulation.** `w = v†·Q` is built row by row with
+//!   [`kernels::axpy`] (one `conj(v_r)·Q[r, ·]` term per row, in ascending
+//!   row order — the order a column-wise dot would add them), and
+//!   `Q ← Q − τ·v·w` then updates the same rows in place. Only columns
+//!   `k+1..n` are visited: the columns before them are still identity
+//!   columns, zero on the reflector's rows.
+//!
+//! On finite input, each output element goes through the same
+//! floating-point operations in the same order as the textbook
+//! element-at-a-time loops, so results are bit-identical to them on every
+//! kernel tier and worker count (`tests/kernel_equivalence.rs` pins the
+//! digests). NaN or infinite entries can spread differently: those loops
+//! also ran over columns `0..=k` of `Q` and wrote the NaN of `0·NaN` there.
 
 use crate::complex::{Complex64, C_ZERO};
+use crate::kernels;
 use crate::matrix::CMatrix;
-use crate::vector::cdot;
 
 /// Output of the tridiagonalization: `A = Q·T·Q†` with `T` real symmetric
 /// tridiagonal (diagonal `d`, subdiagonal `e`).
@@ -65,35 +88,26 @@ pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
         // Full-length Householder vector: support on rows k+1..n.
         let mut v = vec![C_ZERO; n];
         v[k + 1] = Complex64::real(1.0);
-        for (offset, &val) in v_rest.iter().enumerate() {
-            v[k + 2 + offset] = val;
-        }
+        v[k + 2..].copy_from_slice(&v_rest);
 
         if tau != C_ZERO {
             // Two-sided update of the trailing block m[k+1.., k+1..]:
             //   p = τ·A·v,  w = p − (τ/2)·⟨p, v⟩·v,  A ← A − v·w† − w·v†.
             let sub = k + 1;
-            let len = n - sub;
-            let mut p = vec![C_ZERO; len];
-            for i in 0..len {
-                let mut acc = C_ZERO;
-                for j in 0..len {
-                    acc += m[(sub + i, sub + j)] * v[sub + j];
-                }
-                p[i] = acc * tau;
-            }
-            let vsub: Vec<Complex64> = v[sub..].to_vec();
-            let coeff = tau.scale(0.5) * cdot(&p, &vsub);
+            let vsub = &v[sub..];
+            let p: Vec<Complex64> = (sub..n)
+                .map(|i| kernels::dot(&m.row(i)[sub..], vsub) * tau)
+                .collect();
+            let coeff = tau.scale(0.5) * kernels::cdot(&p, vsub);
             let w: Vec<Complex64> = p
                 .iter()
-                .zip(&vsub)
+                .zip(vsub)
                 .map(|(pi, vi)| *pi - coeff * *vi)
                 .collect();
-            for i in 0..len {
-                for j in 0..len {
-                    let upd = vsub[i] * w[j].conj() + w[i] * vsub[j].conj();
-                    m[(sub + i, sub + j)] -= upd;
-                }
+            let w_conj: Vec<Complex64> = w.iter().map(|z| z.conj()).collect();
+            let v_conj: Vec<Complex64> = vsub.iter().map(|z| z.conj()).collect();
+            for (i, (&vi, &wi)) in vsub.iter().zip(&w).enumerate() {
+                kernels::rank2(vi, &w_conj, wi, &v_conj, &mut m.row_mut(sub + i)[sub..]);
             }
         }
 
@@ -106,29 +120,35 @@ pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
     }
 
     // Accumulate Q = H_0·H_1⋯H_{n-2} by applying reflectors to the identity
-    // from the left, in reverse order: Q ← H_k·Q. Each H_k touches only rows
-    // k+1..n, and at the moment it is applied, Q has non-identity structure
-    // only in rows/cols k+2..n, keeping the cost at ~n³/3 flops.
+    // from the left, in reverse order: Q ← H_k·Q = Q − τ·v·(v†·Q). H_k
+    // touches only rows k+1..n, and before it is applied Q is the identity
+    // outside rows/cols k+2..n, so columns 0..=k stay untouched and the
+    // work is the (n−k−1)² block: 2·(n−k−1)² complex multiply-adds for
+    // reflector k, ≈ (2/3)·n³ in total.
     let mut q = CMatrix::identity(n);
+    let mut w = vec![C_ZERO; n];
+    let mut f = vec![C_ZERO; n];
     for k in (0..n.saturating_sub(1)).rev() {
         let tau = taus[k];
         if tau == C_ZERO {
             continue;
         }
         let v = &vs[k];
-        // H·Q = Q − τ·v·(v†·Q); v is supported on rows k+1..n.
-        for col in 0..n {
-            let mut dot = C_ZERO;
-            for row in k + 1..n {
-                dot += v[row].conj() * q[(row, col)];
-            }
-            if dot == C_ZERO {
-                continue;
-            }
-            let f = tau * dot;
-            for row in k + 1..n {
-                let delta = f * v[row];
-                q[(row, col)] -= delta;
+        let lo = k + 1;
+        let (w, f) = (&mut w[lo..], &mut f[lo..]);
+        w.fill(C_ZERO);
+        for (row, vr) in v.iter().enumerate().skip(lo) {
+            kernels::axpy(vr.conj(), &q.row(row)[lo..], w);
+        }
+        for (fc, wc) in f.iter_mut().zip(w.iter()) {
+            *fc = tau * *wc;
+        }
+        // A column whose dot is exactly zero needs no skip: `Q` starts as
+        // the identity and never holds −0, so subtracting the zero product
+        // leaves every finite entry's bits as they were.
+        for (row, &vr) in v.iter().enumerate().skip(lo) {
+            for (qc, fc) in q.row_mut(row)[lo..].iter_mut().zip(f.iter()) {
+                *qc -= *fc * vr;
             }
         }
     }
@@ -139,6 +159,7 @@ pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::cdot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -10,6 +10,25 @@
 //!
 //! Both return a [`HermitianEigen`] with eigenvalues sorted ascending, which
 //! is the ordering spectral clustering consumes (lowest eigenvectors first).
+//!
+//! # Loop layout of the fast path
+//!
+//! All matrices are row-major, and every `O(n³)` loop of [`eigh`] runs
+//! along rows:
+//!
+//! * [`tridiagonalize`] computes each entry of `A·v` as one ordered
+//!   [`crate::kernels::dot`] over a row, applies the rank-2 update as one
+//!   [`crate::kernels::rank2`] per row, and accumulates `Q` row by row
+//!   with [`crate::kernels::axpy`] over the columns a reflector can reach
+//!   (`k+1..n`).
+//! * [`tql_implicit`] keeps the eigenvector matrix transposed while it
+//!   iterates, so each Givens rotation is one [`crate::kernels::rot`] on
+//!   two contiguous rows.
+//!
+//! On finite input, every output element still goes through the same
+//! floating-point operations in the same order as the element-at-a-time
+//! loops, so results are bit-identical on every kernel tier and worker
+//! count.
 
 mod householder;
 mod jacobi;

@@ -2,8 +2,16 @@
 //! tridiagonal matrices (EISPACK `tql2` lineage), accumulating the real
 //! Givens rotations into a complex eigenvector matrix so it composes with
 //! the Householder reduction of Hermitian matrices.
+//!
+//! The eigenvector matrix is kept transposed while the iteration runs, so
+//! the Givens rotation on columns `i, i+1` of `z` is one [`kernels::rot`]
+//! on two contiguous rows instead of a walk down two columns with stride
+//! `n`. The rotations are applied in the same order with the same
+//! arithmetic, so the result is bit-identical to the column-wise loop.
 
+use crate::complex::Complex64;
 use crate::error::LinalgError;
+use crate::kernels;
 use crate::matrix::CMatrix;
 
 /// Iteration budget per eigenvalue.
@@ -38,7 +46,20 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
     // Work with a sentinel-extended subdiagonal: ee[i] couples i and i+1.
     let mut ee = vec![0.0; n];
     ee[..n - 1].copy_from_slice(e);
+    // Row j of `zt` is column j of `z`; it is written back even when the
+    // iteration fails, as the in-place column updates would have left it.
+    let mut zt = z.transpose().into_vec();
+    let result = ql_sweeps(d, &mut ee, &mut zt);
+    *z = CMatrix::from_vec(n, n, zt)
+        .expect("n × n buffer")
+        .transpose();
+    result
+}
 
+/// The QL iteration on the sentinel-extended subdiagonal `ee`, rotating
+/// the rows of the transposed eigenvector matrix `zt`.
+fn ql_sweeps(d: &mut [f64], ee: &mut [f64], zt: &mut [Complex64]) -> Result<(), LinalgError> {
+    let n = d.len();
     for l in 0..n {
         let mut iter = 0usize;
         loop {
@@ -94,12 +115,8 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
                 g = c * r - b;
 
                 // Accumulate the Givens rotation into columns i, i+1 of z.
-                for k in 0..n {
-                    let zk1 = z[(k, i + 1)];
-                    let zk0 = z[(k, i)];
-                    z[(k, i + 1)] = zk0.scale(s) + zk1.scale(c);
-                    z[(k, i)] = zk0.scale(c) - zk1.scale(s);
-                }
+                let (z0, z1) = zt[i * n..(i + 2) * n].split_at_mut(n);
+                kernels::rot(c, s, z0, z1);
             }
 
             if underflow {
@@ -116,7 +133,6 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::Complex64;
 
     fn tridiag_matrix(d: &[f64], e: &[f64]) -> CMatrix {
         let n = d.len();

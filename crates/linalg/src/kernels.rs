@@ -2,8 +2,9 @@
 //!
 //! Every dense numeric hot path in the workspace — single-qubit gate pair
 //! loops, the blocked matmul/matvec inner products, the density backend's
-//! flat-buffer gate application, vector axpy/dot — bottoms out in one of five primitive
-//! kernels defined here:
+//! flat-buffer gate application, vector axpy/dot, the Householder
+//! reduction, `Q` accumulation and QL rotations of the dense Hermitian
+//! eigensolver — bottoms out in one of seven primitive kernels defined here:
 //!
 //! | kernel | operation | contract |
 //! |---|---|---|
@@ -12,6 +13,8 @@
 //! | [`axpy`] | `y_i ← y_i + α · x_i` | **bit-identical** across tiers |
 //! | [`dot`] | `Σ x_i · y_i` (ascending `i`) | **bit-identical** across tiers |
 //! | [`cdot`] | `Σ conj(x_i) · y_i` (ascending `i`) | **bit-identical** across tiers |
+//! | [`rot`] | real plane rotation of two slices | **bit-identical** across tiers |
+//! | [`rank2`] | `y_i ← y_i − (a · x_i + b · u_i)` | **bit-identical** across tiers |
 //!
 //! Three tiers implement each kernel:
 //!
@@ -55,7 +58,7 @@
 //! # Adding a lane width
 //!
 //! See `docs/KERNELS.md` for the step-by-step recipe (new `KernelTier`
-//! variant, an `mod <tier>` with the six kernels, availability detection,
+//! variant, an `mod <tier>` with the seven kernels, availability detection,
 //! and the equivalence-suite hook — the suite iterates `KernelTier::ALL`,
 //! so a new tier is differentially tested for free).
 
@@ -357,6 +360,76 @@ pub fn cdot_with(tier: KernelTier, x: &[Complex64], y: &[Complex64]) -> Complex6
     }
 }
 
+/// Real plane (Givens) rotation of two complex slices, elementwise with
+/// the old values: `x_i ← x_i·c − y_i·s`, `y_i ← x_i·s + y_i·c`, each
+/// component multiplied by the real `c`/`s` on the right
+/// ([`Complex64::scale`]).
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn rot(c: f64, s: f64, x: &mut [Complex64], y: &mut [Complex64]) {
+    rot_with(active(), c, s, x, y);
+}
+
+/// [`rot`] on an explicit tier.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn rot_with(tier: KernelTier, c: f64, s: f64, x: &mut [Complex64], y: &mut [Complex64]) {
+    assert_eq!(x.len(), y.len(), "rot: length mismatch");
+    match effective(tier) {
+        KernelTier::Scalar => scalar::rot(c, s, x, y),
+        KernelTier::Portable => portable::rot(c, s, x, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `effective` only returns Avx2 when the CPU has it.
+        KernelTier::Avx2 => unsafe { avx2::rot(c, s, x, y) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 => unreachable!("avx2 tier on a non-x86_64 target"),
+    }
+}
+
+/// One row of a rank-2 update: `y_i ← y_i − (a · x_i + b · u_i)`, both
+/// products with the broadcast scalar on the left.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn rank2(a: Complex64, x: &[Complex64], b: Complex64, u: &[Complex64], y: &mut [Complex64]) {
+    rank2_with(active(), a, x, b, u, y);
+}
+
+/// [`rank2`] on an explicit tier.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn rank2_with(
+    tier: KernelTier,
+    a: Complex64,
+    x: &[Complex64],
+    b: Complex64,
+    u: &[Complex64],
+    y: &mut [Complex64],
+) {
+    assert!(
+        x.len() == y.len() && u.len() == y.len(),
+        "rank2: length mismatch"
+    );
+    match effective(tier) {
+        KernelTier::Scalar => scalar::rank2(a, x, b, u, y),
+        KernelTier::Portable => portable::rank2(a, x, b, u, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `effective` only returns Avx2 when the CPU has it.
+        KernelTier::Avx2 => unsafe { avx2::rank2(a, x, b, u, y) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 => unreachable!("avx2 tier on a non-x86_64 target"),
+    }
+}
+
 /// Degrades an explicitly requested tier to one the CPU can execute.
 #[inline]
 fn effective(tier: KernelTier) -> KernelTier {
@@ -417,6 +490,26 @@ mod scalar {
             acc += a.conj() * *b;
         }
         acc
+    }
+
+    pub(super) fn rot(c: f64, s: f64, x: &mut [Complex64], y: &mut [Complex64]) {
+        for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
+            let (a, b) = (*xi, *yi);
+            *xi = a.scale(c) - b.scale(s);
+            *yi = a.scale(s) + b.scale(c);
+        }
+    }
+
+    pub(super) fn rank2(
+        a: Complex64,
+        x: &[Complex64],
+        b: Complex64,
+        u: &[Complex64],
+        y: &mut [Complex64],
+    ) {
+        for ((yi, xi), ui) in y.iter_mut().zip(x).zip(u) {
+            *yi -= a * *xi + b * *ui;
+        }
     }
 }
 
@@ -497,6 +590,37 @@ mod portable {
             acc += a.conj() * *b;
         }
         acc
+    }
+
+    pub(super) fn rot(c: f64, s: f64, x: &mut [Complex64], y: &mut [Complex64]) {
+        let mut xc = x.chunks_exact_mut(2);
+        let mut yc = y.chunks_exact_mut(2);
+        for (x2, y2) in (&mut xc).zip(&mut yc) {
+            let (a0, a1) = (x2[0], x2[1]);
+            let (b0, b1) = (y2[0], y2[1]);
+            x2[0] = a0.scale(c) - b0.scale(s);
+            x2[1] = a1.scale(c) - b1.scale(s);
+            y2[0] = a0.scale(s) + b0.scale(c);
+            y2[1] = a1.scale(s) + b1.scale(c);
+        }
+        scalar::rot(c, s, xc.into_remainder(), yc.into_remainder());
+    }
+
+    pub(super) fn rank2(
+        a: Complex64,
+        x: &[Complex64],
+        b: Complex64,
+        u: &[Complex64],
+        y: &mut [Complex64],
+    ) {
+        let mut yc = y.chunks_exact_mut(2);
+        let mut xc = x.chunks_exact(2);
+        let mut uc = u.chunks_exact(2);
+        for ((y2, x2), u2) in (&mut yc).zip(&mut xc).zip(&mut uc) {
+            y2[0] -= a * x2[0] + b * u2[0];
+            y2[1] -= a * x2[1] + b * u2[1];
+        }
+        scalar::rank2(a, xc.remainder(), b, uc.remainder(), yc.into_remainder());
     }
 }
 
@@ -688,6 +812,58 @@ mod avx2 {
         }
         z
     }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rot(c: f64, s: f64, x: &mut [Complex64], y: &mut [Complex64]) {
+        let n = x.len();
+        // The rotation is real, so re and im lanes are rotated alike:
+        // plain lane-wise products with c/s on the right, as `scale` does.
+        let cv = _mm256_set1_pd(c);
+        let sv = _mm256_set1_pd(s);
+        let xp = x.as_mut_ptr().cast::<f64>();
+        let yp = y.as_mut_ptr().cast::<f64>();
+        for i in 0..n / 2 {
+            let a = _mm256_loadu_pd(xp.add(4 * i));
+            let b = _mm256_loadu_pd(yp.add(4 * i));
+            let xn = _mm256_sub_pd(_mm256_mul_pd(a, cv), _mm256_mul_pd(b, sv));
+            let yn = _mm256_add_pd(_mm256_mul_pd(a, sv), _mm256_mul_pd(b, cv));
+            _mm256_storeu_pd(xp.add(4 * i), xn);
+            _mm256_storeu_pd(yp.add(4 * i), yn);
+        }
+        if n % 2 == 1 {
+            scalar::rot(c, s, &mut x[n - 1..], &mut y[n - 1..]);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rank2(
+        a: Complex64,
+        x: &[Complex64],
+        b: Complex64,
+        u: &[Complex64],
+        y: &mut [Complex64],
+    ) {
+        let n = y.len();
+        let are = _mm256_set1_pd(a.re);
+        let aim = _mm256_set1_pd(a.im);
+        let bre = _mm256_set1_pd(b.re);
+        let bim = _mm256_set1_pd(b.im);
+        let xp = x.as_ptr().cast::<f64>();
+        let up = u.as_ptr().cast::<f64>();
+        let yp = y.as_mut_ptr().cast::<f64>();
+        for i in 0..n / 2 {
+            let xv = _mm256_loadu_pd(xp.add(4 * i));
+            let uv = _mm256_loadu_pd(up.add(4 * i));
+            let yv = _mm256_loadu_pd(yp.add(4 * i));
+            // y − (a·x + b·u): both products with the scalar as self, the
+            // a-product as the left add operand — the scalar order.
+            let sum = _mm256_add_pd(cmul_splat(are, aim, xv), cmul_splat(bre, bim, uv));
+            _mm256_storeu_pd(yp.add(4 * i), _mm256_sub_pd(yv, sum));
+        }
+        if n % 2 == 1 {
+            scalar::rank2(a, &x[n - 1..], b, &u[n - 1..], &mut y[n - 1..]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -759,5 +935,27 @@ mod tests {
         let mut lo = [C_ONE];
         let mut hi = [C_ONE, C_I];
         gate2(&[[C_ONE, C_ZERO], [C_ZERO, C_ONE]], &mut lo, &mut hi);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank2: length mismatch")]
+    fn rank2_checks_both_input_lengths() {
+        let mut y = [C_ONE, C_I];
+        rank2(C_ONE, &[C_ONE, C_ONE], C_ONE, &[C_ONE], &mut y);
+    }
+
+    #[test]
+    fn rot_quarter_turn_on_every_tier() {
+        for tier in KernelTier::ALL {
+            let x0 = [C_ONE, C_I, Complex64::new(2.0, -1.0)];
+            let y0 = [C_I, Complex64::new(0.5, 0.5), C_ONE];
+            let (mut x, mut y) = (x0, y0);
+            // c = 0, s = 1: x ← −y, y ← x.
+            rot_with(tier, 0.0, 1.0, &mut x, &mut y);
+            for i in 0..3 {
+                assert_eq!(x[i], -y0[i], "{tier}");
+                assert_eq!(y[i], x0[i], "{tier}");
+            }
+        }
     }
 }

@@ -13,6 +13,8 @@ use qsc_suite::core::{
     Pipeline, QuantumParams, ResiliencePolicy,
 };
 use qsc_suite::graph::generators::{dsbm, DsbmParams, MetaGraph, PlantedGraph};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An outcome with the (inherently non-deterministic) wall-time diagnostic
 /// zeroed, so runs can be compared bit for bit on everything that matters.
@@ -97,6 +99,53 @@ fn injected_panics_are_isolated_and_deterministic() {
     assert!(
         plain.iter().all(Result::is_ok),
         "pool usable after isolated panics"
+    );
+}
+
+#[test]
+fn injected_panics_skip_the_panic_hook() {
+    // Count hook calls for injected faults; every other panic goes to the
+    // previous hook, so genuine failures elsewhere still report normally.
+    static INJECTED_HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
+    let previous = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        if message.contains("injected fault") {
+            INJECTED_HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
+        } else {
+            previous(info);
+        }
+    }));
+
+    let plan = FaultPlan::seeded(3).with_rate(FaultPoint::TaskStart, 1.0);
+    let insts: Vec<PlantedGraph> = (0..4).map(|i| flow_instance(30, 40 + i)).collect();
+    let batch: Vec<GraphInstance<'_>> = insts
+        .iter()
+        .enumerate()
+        .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
+        .collect();
+    let pl = Pipeline::hermitian(2)
+        .resilience(ResiliencePolicy {
+            fault_plan: Some(plan),
+            ..ResiliencePolicy::default()
+        })
+        .expect("policy");
+    let slots = pl.run_many(&batch);
+    assert_eq!(slots.len(), batch.len());
+    for slot in &slots {
+        let err = slot.as_ref().expect_err("rate 1.0 fails every instance");
+        assert_eq!(err.kind, FailureKind::Panic);
+        assert_eq!(err.message, "injected fault at task_start");
+    }
+    assert_eq!(
+        INJECTED_HOOK_CALLS.load(Ordering::SeqCst),
+        0,
+        "a task_start fault reached the panic hook"
     );
 }
 

@@ -16,7 +16,10 @@
 //!   phase at every qubit position (stride edges), and the matrix kernels
 //!   (`matmul`, `matvec`, `gram`) against in-test naive scalar loops —
 //!   pinning the *wiring*, not just the kernels;
-//! * proptest generators for gate and reduction inputs.
+//! * proptest generators for gate and reduction inputs;
+//! * the dense Hermitian eigensolver (`eigh`, whose loops run on `dot`,
+//!   `axpy`, `rank2` and `rot`) and CSR Lanczos (which runs the same QL
+//!   solver), digested bit for bit against pinned values.
 //!
 //! CI runs this suite under `QSC_KERNELS` ∈ {scalar, portable, avx2} ×
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 4}; in-process, the `_with` kernel
@@ -24,10 +27,14 @@
 //! environment (tiers the CPU lacks are skipped with a note).
 
 use proptest::prelude::*;
+use qsc_suite::graph::generators::{dsbm, DsbmParams, MetaGraph};
+use qsc_suite::graph::{normalized_hermitian_laplacian_csr, MixedGraph, Q_CLASSICAL};
 use qsc_suite::linalg::kernels::{
-    self, axpy_with, cdot_with, dot_with, gate2_with, scale_with, Gate2, KernelTier,
+    self, axpy_with, cdot_with, dot_with, gate2_with, rank2_with, rot_with, scale_with, Gate2,
+    KernelTier,
 };
-use qsc_suite::linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
+use qsc_suite::linalg::lanczos::lanczos_lowest_k_csr;
+use qsc_suite::linalg::{eigh, CMatrix, Complex64, CsrMatrix, C_ONE, C_ZERO};
 use qsc_suite::sim::QuantumState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,6 +234,33 @@ fn ordered_reductions_are_bit_identical_across_tiers_at_awkward_lengths() {
 }
 
 #[test]
+fn rot_and_rank2_are_bit_identical_across_tiers_at_awkward_lengths() {
+    let mut rng = StdRng::seed_from_u64(107);
+    for &len in AWKWARD_LENS {
+        let x0 = random_vec(len, &mut rng);
+        let y0 = random_vec(len, &mut rng);
+        let u = random_vec(len, &mut rng);
+        let theta: f64 = rng.gen_range(-3.0..3.0);
+        let (c, s) = (theta.cos(), theta.sin());
+        let a = Complex64::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
+        let b = Complex64::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
+        let (mut rx, mut ry) = (x0.clone(), y0.clone());
+        rot_with(KernelTier::Scalar, c, s, &mut rx, &mut ry);
+        let mut rr = y0.clone();
+        rank2_with(KernelTier::Scalar, a, &x0, b, &u, &mut rr);
+        for tier in available_tiers() {
+            let (mut x, mut y) = (x0.clone(), y0.clone());
+            rot_with(tier, c, s, &mut x, &mut y);
+            assert_bits_eq(&x, &rx, &format!("rot x len {len} tier {tier}"));
+            assert_bits_eq(&y, &ry, &format!("rot y len {len} tier {tier}"));
+            let mut r = y0.clone();
+            rank2_with(tier, a, &x0, b, &u, &mut r);
+            assert_bits_eq(&r, &rr, &format!("rank2 len {len} tier {tier}"));
+        }
+    }
+}
+
+#[test]
 fn special_values_are_bit_identical_across_tiers() {
     // Denormals, signed zeros, infinities: the SIMD lanes must round,
     // underflow, and sign-propagate exactly like the scalar ops.
@@ -248,12 +282,24 @@ fn special_values_are_bit_identical_across_tiers() {
             axpy_with(KernelTier::Scalar, alpha, &lo0, &mut raxpy);
             let rdot = dot_with(KernelTier::Scalar, &lo0, &hi0);
             let rcdot = cdot_with(KernelTier::Scalar, &lo0, &hi0);
+            let (c, sn) = (alpha.re, lo0[0].im);
+            let (mut rrx, mut rry) = (lo0.clone(), hi0.clone());
+            rot_with(KernelTier::Scalar, c, sn, &mut rrx, &mut rry);
+            let mut rrank = hi0.clone();
+            rank2_with(KernelTier::Scalar, alpha, &lo0, lo0[0], &hi0, &mut rrank);
 
             for tier in available_tiers() {
                 let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
                 gate2_with(tier, &g, &mut lo, &mut hi);
                 assert_nan_pattern_eq(&lo, &rlo, &context("gate2 lo", tier));
                 assert_nan_pattern_eq(&hi, &rhi, &context("gate2 hi", tier));
+                let (mut x, mut y) = (lo0.clone(), hi0.clone());
+                rot_with(tier, c, sn, &mut x, &mut y);
+                assert_nan_pattern_eq(&x, &rrx, &context("rot x", tier));
+                assert_nan_pattern_eq(&y, &rry, &context("rot y", tier));
+                let mut r = hi0.clone();
+                rank2_with(tier, alpha, &lo0, lo0[0], &hi0, &mut r);
+                assert_nan_pattern_eq(&r, &rrank, &context("rank2", tier));
                 let mut s = lo0.clone();
                 scale_with(tier, alpha, &mut s);
                 assert_nan_pattern_eq(&s, &rscale, &context("scale", tier));
@@ -292,12 +338,24 @@ fn nan_propagation_matches_scalar_positions() {
             gate2_with(KernelTier::Scalar, &g, &mut rlo, &mut rhi);
             let rdot = dot_with(KernelTier::Scalar, &lo0, &hi0);
             let rcdot = cdot_with(KernelTier::Scalar, &lo0, &hi0);
+            let (c, sn) = (g[0][0].re, g[0][1].re);
+            let (mut rrx, mut rry) = (lo0.clone(), hi0.clone());
+            rot_with(KernelTier::Scalar, c, sn, &mut rrx, &mut rry);
+            let mut rrank = hi0.clone();
+            rank2_with(KernelTier::Scalar, g[1][0], &lo0, g[1][1], &hi0, &mut rrank);
 
             for tier in available_tiers() {
                 let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
                 gate2_with(tier, &g, &mut lo, &mut hi);
                 assert_nan_pattern_eq(&lo, &rlo, &context("gate2 lo", tier));
                 assert_nan_pattern_eq(&hi, &rhi, &context("gate2 hi", tier));
+                let (mut x, mut y) = (lo0.clone(), hi0.clone());
+                rot_with(tier, c, sn, &mut x, &mut y);
+                assert_nan_pattern_eq(&x, &rrx, &context("rot x", tier));
+                assert_nan_pattern_eq(&y, &rry, &context("rot y", tier));
+                let mut r = hi0.clone();
+                rank2_with(tier, g[1][0], &lo0, g[1][1], &hi0, &mut r);
+                assert_nan_pattern_eq(&r, &rrank, &context("rank2", tier));
                 assert_nan_pattern_eq(
                     &[dot_with(tier, &lo0, &hi0)],
                     &[rdot],
@@ -574,6 +632,122 @@ fn matrix_kernels_match_naive_scalar_loops() {
 }
 
 // ---------------------------------------------------------------------------
+// Eigensolver bit pins: FNV-1a digests of every output bit, recorded from
+// the element-at-a-time column loops the row-wise solver replaced. They hold
+// under every kernel tier and worker count because the solver only uses
+// the bit-identical ordered kernels.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bit patterns of a sequence of `f64`s.
+fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn matrix_bits(m: &CMatrix) -> impl Iterator<Item = f64> + '_ {
+    m.as_slice().iter().flat_map(|z| [z.re, z.im])
+}
+
+/// Digest of a full `eigh`: eigenvalues, then eigenvectors row-major.
+fn eigh_digest(a: &CMatrix) -> u64 {
+    let eig = eigh(a).expect("eigh");
+    fnv1a(
+        eig.eigenvalues
+            .iter()
+            .copied()
+            .chain(matrix_bits(&eig.eigenvectors)),
+    )
+}
+
+/// Digest of `lanczos_lowest_k_csr(a, 3, 1e-8, seed 5)`, which runs the
+/// QL solver on every Krylov tridiagonal.
+fn lanczos_digest(a: &CsrMatrix) -> u64 {
+    let mut rng = StdRng::seed_from_u64(5);
+    let part = lanczos_lowest_k_csr(a, 3, 1e-8, &mut rng).expect("lanczos");
+    fnv1a(
+        part.eigenvalues
+            .iter()
+            .copied()
+            .chain(matrix_bits(&part.eigenvectors))
+            .chain([part.iterations as f64]),
+    )
+}
+
+/// A DSBM Laplacian shaped like the classical benchmark's instances.
+fn dsbm_laplacian(n: usize, seed: u64) -> CsrMatrix {
+    let g = dsbm(&DsbmParams {
+        n,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        meta: MetaGraph::Cycle,
+        seed,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm");
+    normalized_hermitian_laplacian_csr(&g.graph, Q_CLASSICAL)
+}
+
+/// Two mixed components (vertices 0..6 and 7..13) around an isolated
+/// vertex 6: the reduction meets `tau == 0` reflectors at the block
+/// boundaries and the Q accumulation meets exactly-zero column dots.
+fn split_laplacian() -> CsrMatrix {
+    let mut g = MixedGraph::new(13);
+    for base in [0usize, 7] {
+        for i in 0..5 {
+            g.add_edge(base + i, base + i + 1, 1.0 + 0.25 * i as f64)
+                .expect("edge");
+        }
+        g.add_arc(base, base + 3, 0.75).expect("arc");
+        g.add_arc(base + 4, base + 1, 1.5).expect("arc");
+        g.add_arc(base + 5, base + 2, 0.5).expect("arc");
+    }
+    normalized_hermitian_laplacian_csr(&g, Q_CLASSICAL)
+}
+
+#[test]
+fn eigensolver_outputs_match_their_pinned_bits() {
+    let mut rng = StdRng::seed_from_u64(64);
+    let random = CMatrix::random_hermitian(64, &mut rng);
+    let dsbm200 = dsbm_laplacian(200, 15);
+    let split = split_laplacian();
+    let got = [
+        ("eigh random_hermitian(64)", eigh_digest(&random)),
+        ("eigh dsbm n=200", eigh_digest(&dsbm200.to_dense())),
+        (
+            "eigh two components + isolated",
+            eigh_digest(&split.to_dense()),
+        ),
+        ("lanczos_csr dsbm n=200", lanczos_digest(&dsbm200)),
+        (
+            "lanczos_csr two components + isolated",
+            lanczos_digest(&split),
+        ),
+    ];
+    let want: [u64; 5] = [
+        0x64235d54ede9ec0c,
+        0xebf68c42b10156fd,
+        0x27b4ebf95a38f155,
+        0x3e63b8ba80c587b5,
+        0xf3654a0f42e8bf13,
+    ];
+    let mismatched: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, g), w)| g != w)
+        .map(|((name, g), w)| format!("{name}: digest {g:#018x}, pinned {w:#018x}"))
+        .collect();
+    assert!(mismatched.is_empty(), "{}", mismatched.join("\n"));
+}
+
+// ---------------------------------------------------------------------------
 // Property tests.
 // ---------------------------------------------------------------------------
 
@@ -655,6 +829,35 @@ proptest! {
             for i in 0..len {
                 prop_assert_eq!(bits(s[i]), bits(rscale[i]), "scale {} tier {}", i, tier);
                 prop_assert_eq!(bits(a[i]), bits(raxpy[i]), "axpy {} tier {}", i, tier);
+            }
+        }
+    }
+
+    #[test]
+    fn prop_rot_and_rank2_bit_identical(
+        seed in 0u64..1_000_000,
+        len in 1usize..70,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x0 = random_vec(len, &mut rng);
+        let y0 = random_vec(len, &mut rng);
+        let u = random_vec(len, &mut rng);
+        let (c, s) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let a = Complex64::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
+        let b = Complex64::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
+        let (mut rx, mut ry) = (x0.clone(), y0.clone());
+        rot_with(KernelTier::Scalar, c, s, &mut rx, &mut ry);
+        let mut rr = y0.clone();
+        rank2_with(KernelTier::Scalar, a, &x0, b, &u, &mut rr);
+        for tier in available_tiers() {
+            let (mut x, mut y) = (x0.clone(), y0.clone());
+            rot_with(tier, c, s, &mut x, &mut y);
+            let mut r = y0.clone();
+            rank2_with(tier, a, &x0, b, &u, &mut r);
+            for i in 0..len {
+                prop_assert_eq!(bits(x[i]), bits(rx[i]), "rot x {} tier {}", i, tier);
+                prop_assert_eq!(bits(y[i]), bits(ry[i]), "rot y {} tier {}", i, tier);
+                prop_assert_eq!(bits(r[i]), bits(rr[i]), "rank2 {} tier {}", i, tier);
             }
         }
     }
